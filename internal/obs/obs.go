@@ -32,7 +32,8 @@ const (
 	KindAdmit Kind = iota
 	// KindDecision: the allocator sized a decision group. Value =
 	// millicores chosen, Aux = remaining budget in ns, Flag = hint hit,
-	// Reason = resolved shape key on the dynamic path ("" when static).
+	// Reason = the group's resolved shape key ("" when nothing in the
+	// group resolved, as in every static workflow).
 	KindDecision
 	// KindPark: an acquisition did not fit and the node parked. Value =
 	// millicores demanded.

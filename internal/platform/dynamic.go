@@ -4,17 +4,19 @@ import (
 	"fmt"
 	"time"
 
-	"janus/internal/cluster"
 	"janus/internal/obs"
 	"janus/internal/workflow"
 )
 
-// This file is the serving plane's dynamic-shape path: requests of a
-// workflow with dynamic annotations (workflow.NewDynamic) materialize
-// their plan online as predicates resolve, instead of executing the
-// full static skeleton. The skeleton still defines the decision groups
-// and readiness countdowns — the static engine's structures are reused
-// unchanged — and three per-request overlays project it down:
+// This file holds the serving plane's dynamic-shape overlays: requests
+// of a workflow with dynamic annotations (workflow.NewDynamic)
+// materialize their plan online as predicates resolve, instead of
+// executing the full skeleton. The skeleton still defines the decision
+// groups and readiness countdowns, and the one readiness scheduler in
+// platform.go serves every workflow; three per-request overlays project
+// the skeleton down, each reached only through a node's annotation
+// flags, so a static workflow — a plan with no annotations — never
+// touches them:
 //
 //   - liveness: a completed choice node kills its unchosen successor
 //     edges; a node all of whose incoming edges are dead is pruned —
@@ -32,74 +34,67 @@ import (
 // Every resolution is pre-drawn from the request's seeded RNG
 // (DynDraws), so a dynamic run is a pure function of its inputs: the
 // event interleaving, traces, and metrics replay byte for byte at any
-// driver parallelism, exactly like the static engine.
+// driver parallelism, exactly like a static one.
 
-// dynPlan is the per-workflow dynamic overlay of a dagPlan: flat node
-// indexing plus the annotation, successor, and in-degree tables the
-// liveness propagation walks. Derived once per workflow, shared by
-// every request.
-type dynPlan struct {
-	// flat maps a step name to its flat node index; base[g] is the
-	// first flat index of group g's members (flat = base[g] + member).
-	flat map[string]int
-	base []int
-	// steps, loc, spec, inDeg are indexed by flat node index.
-	steps []string
-	loc   []dynLoc
-	spec  []workflow.DynamicNode
-	inDeg []int
-	// succ[flat] lists successor flat indices in edge-declaration
-	// order — the order choice resolutions index.
-	succ [][]int
-	// awaits lists the flat indices of await steps.
-	awaits []int
-}
+type nodeLoc struct{ group, member int }
 
-type dynLoc struct{ group, member int }
-
-func newDynPlan(w *workflow.Workflow, p *dagPlan) *dynPlan {
-	dp := &dynPlan{flat: map[string]int{}, base: make([]int, len(p.groups))}
+// annotate fills the plan's annotation flags and its dynamic-only tables.
+func (p *plan) annotate(w *workflow.Workflow) {
+	n := len(p.kind)
+	p.loc = make([]nodeLoc, n)
+	p.spec = make([]workflow.DynamicNode, n)
+	p.inDeg = make([]int, n)
+	p.succ = make([][]int, n)
 	for g, grp := range p.groups {
-		dp.base[g] = len(dp.steps)
-		for b, n := range grp {
-			flat := len(dp.steps)
-			dp.flat[n.Name] = flat
-			dp.steps = append(dp.steps, n.Name)
-			dp.loc = append(dp.loc, dynLoc{group: g, member: b})
-			d, _ := w.Dynamic(n.Name)
-			dp.spec = append(dp.spec, d)
-			dp.inDeg = append(dp.inDeg, len(w.Predecessors(n.Name)))
+		for b, node := range grp {
+			flat := p.base[g] + b
+			p.loc[flat] = nodeLoc{group: g, member: b}
+			d, _ := w.Dynamic(node.Name)
+			p.spec[flat] = d
+			p.inDeg[flat] = len(w.Predecessors(node.Name))
+			for _, s := range w.Successors(node.Name) {
+				p.succ[flat] = append(p.succ[flat], p.flat[s])
+			}
+			if d.Choice != nil {
+				p.kind[flat] |= kindChoice
+				p.prunes = true
+			}
+			if d.Map != nil {
+				p.kind[flat] |= kindMap
+			}
+			if d.Retry != nil {
+				p.kind[flat] |= kindRetry
+			}
 			if d.Await {
-				dp.awaits = append(dp.awaits, flat)
+				p.kind[flat] |= kindAwait
+				p.awaits = append(p.awaits, flat)
 			}
 		}
 	}
-	dp.succ = make([][]int, len(dp.steps))
-	for flat, step := range dp.steps {
-		for _, s := range w.Successors(step) {
-			dp.succ[flat] = append(dp.succ[flat], dp.flat[s])
-		}
-	}
-	return dp
 }
 
-func (dp *dynPlan) isAwait(flat int) bool { return dp.spec[flat].Await }
+// name is the step name of flat node index flat (dynamic plans only).
+func (p *plan) name(flat int) string {
+	l := p.loc[flat]
+	return p.groups[l.group][l.member].Name
+}
 
 // validateRequest checks that a request of a dynamic workflow carries a
 // complete, in-range pre-sampled resolution (GenerateWorkload's output
-// shape): hand-built requests fail here instead of mid-run.
-func (dp *dynPlan) validateRequest(tenant string, r *Request) error {
-	if r.Dyn == nil {
+// shape): hand-built requests fail here instead of mid-run. Static
+// plans have nothing to check.
+func (p *plan) validateRequest(tenant string, r *Request) error {
+	if len(p.spec) > 0 && r.Dyn == nil {
 		return fmt.Errorf("platform: tenant %q request %d serves dynamic workflow %s without pre-sampled resolutions (Request.Dyn)",
 			tenant, r.ID, r.Workflow.Name())
 	}
-	for flat, step := range dp.steps {
-		d := dp.spec[flat]
+	for flat := range p.spec {
+		d, step := &p.spec[flat], p.name(flat)
 		if d.Choice != nil {
 			idx, ok := r.Dyn.Choice[step]
-			if !ok || idx < 0 || idx >= len(dp.succ[flat]) {
+			if !ok || idx < 0 || idx >= len(p.succ[flat]) {
 				return fmt.Errorf("platform: tenant %q request %d choice step %q resolution %d out of range [0, %d)",
-					tenant, r.ID, step, idx, len(dp.succ[flat]))
+					tenant, r.ID, step, idx, len(p.succ[flat]))
 			}
 		}
 		if d.Map == nil && d.Retry == nil {
@@ -148,10 +143,10 @@ type dynReqState struct {
 	// determined dead (a node dies when it reaches zero).
 	dead   []bool
 	liveIn []int
-	// repsLeft counts a node's outstanding replicas; the node completes
-	// when the last replica's final attempt lands.
+	// repsLeft counts a map/retry node's outstanding replicas; the node
+	// completes when the last replica's final attempt lands.
 	repsLeft []int
-	// attempt[flat][replica] is the replica's current 0-based attempt.
+	// attempt[flat][replica] is a retry node's current 0-based attempt.
 	attempt [][]int
 	// armed marks await steps a trigger will fire for; fired latches an
 	// early trigger; waitingTrig marks readiness reached with the
@@ -159,336 +154,62 @@ type dynReqState struct {
 	armed, fired, waitingTrig []bool
 }
 
-func newDynReqState(dp *dynPlan) *dynReqState {
-	n := len(dp.steps)
-	d := &dynReqState{
-		dead:        make([]bool, n),
-		liveIn:      make([]int, n),
-		repsLeft:    make([]int, n),
-		attempt:     make([][]int, n),
-		armed:       make([]bool, n),
-		fired:       make([]bool, n),
-		waitingTrig: make([]bool, n),
+// newDynReqState builds a request's overlay state, carved from two flat
+// arrays; nil for a static plan.
+func newDynReqState(p *plan) *dynReqState {
+	n := len(p.spec)
+	if n == 0 {
+		return nil
 	}
-	copy(d.liveIn, dp.inDeg)
+	flags := make([]bool, 4*n)
+	counts := make([]int, 2*n)
+	d := &dynReqState{
+		dead:        flags[:n:n],
+		armed:       flags[n : 2*n : 2*n],
+		fired:       flags[2*n : 3*n : 3*n],
+		waitingTrig: flags[3*n:],
+		liveIn:      counts[:n:n],
+		repsLeft:    counts[n:],
+		attempt:     make([][]int, n),
+	}
+	copy(d.liveIn, p.inDeg)
 	return d
 }
 
-// startGroupDyn is the dynamic path of startGroup: it runs at the
-// group's readiness instant (every predecessor completed or dead, so
-// every member's liveness is determined), skips fully pruned groups,
-// and defers an await member's decision to its trigger.
-func (st *runState) startGroupDyn(rs *reqState, group int) {
-	dp := rs.plan.dyn
-	members := rs.plan.groups[group]
-	anyLive := false
-	for b := range members {
-		if !rs.dyn.dead[dp.base[group]+b] {
-			anyLive = true
-			break
+// pruned reports whether every member of the group is dead.
+func (d *dynReqState) pruned(p *plan, group int) bool {
+	for b := range p.groups[group] {
+		if !d.dead[p.base[group]+b] {
+			return false
 		}
 	}
-	if !anyLive {
-		return // pruned; the members' deaths already advanced readiness
-	}
-	if len(members) == 1 {
-		flat := dp.base[group]
-		if dp.spec[flat].Await && !rs.dyn.fired[flat] {
-			rs.dyn.waitingTrig[flat] = true
-			return
-		}
-	}
-	st.launchGroupDyn(rs, group)
+	return true
 }
 
-// launchGroupDyn makes the group's one allocation decision — at its
-// actual readiness instant, against SLO − elapsed, with the resolved
-// shape revealed to shape-aware allocators — and launches every live
-// member (map members as their resolved number of replicas).
-func (st *runState) launchGroupDyn(rs *reqState, group int) {
-	dp := rs.plan.dyn
-	now := st.engine.Now()
-	remaining := rs.r.Workflow.SLO() - (now - rs.arrival)
-	mc, hit := st.allocateDyn(rs, group, remaining)
-	if mc <= 0 {
-		st.fail(fmt.Errorf("platform: allocator %s returned non-positive allocation %d", rs.tn.alloc.Name(), mc))
-		return
+// shapeKeys[w] is the resolved-shape key of a map member drawn at width
+// w, formatted once so decisions build no strings.
+var shapeKeys = func() []string {
+	keys := make([]string, workflow.MaxMapWidth+1)
+	for w := 1; w <= workflow.MaxMapWidth; w++ {
+		keys[w] = fmt.Sprintf("w=%d", w)
 	}
-	rs.acc.Decisions++
-	if !hit {
-		rs.acc.Misses++
-	}
-	if st.tracer != nil {
-		ev := reqEvent(rs, now, obs.KindDecision)
-		ev.Group = group
-		ev.Value = int64(mc)
-		ev.Aux = int64(remaining)
-		ev.Flag = hit
-		ev.Reason = st.groupShape(rs, group)
-		st.tracer.Emit(ev)
-	}
-	if rs.tn.om != nil {
-		rs.tn.om.decision(hit)
-	}
-	for b := range rs.plan.groups[group] {
-		flat := dp.base[group] + b
-		if rs.dyn.dead[flat] {
-			continue
-		}
-		width := 1
-		if dp.spec[flat].Map != nil {
-			width = rs.r.Dyn.Width[dp.steps[flat]]
-		}
-		rs.dyn.repsLeft[flat] = width
-		rs.dyn.attempt[flat] = make([]int, width)
-		for rep := 0; rep < width; rep++ {
-			st.startNodeDyn(rs, group, b, rep, mc, hit, false)
-			if st.failed != nil {
-				return
-			}
-		}
-	}
-}
+	return keys
+}()
 
 // groupShape is the resolved-shape key of a decision group at its
 // readiness instant: the live map member's drawn width ("w=3"), or ""
-// when nothing in the group resolved. This is exactly the key the
-// synthesizer's per-(group, resolved-shape) variant tables carry.
-func (st *runState) groupShape(rs *reqState, group int) string {
-	dp := rs.plan.dyn
-	for b := range rs.plan.groups[group] {
-		flat := dp.base[group] + b
-		if dp.spec[flat].Map != nil && !rs.dyn.dead[flat] {
-			return fmt.Sprintf("w=%d", rs.r.Dyn.Width[dp.steps[flat]])
+// when nothing in the group resolved — always, for a static plan. This
+// is exactly the key the synthesizer's per-(group, resolved-shape)
+// variant tables carry.
+func (rs *reqState) groupShape(group int) string {
+	p := rs.plan
+	for b, n := range p.groups[group] {
+		flat := p.base[group] + b
+		if p.kind[flat]&kindMap != 0 && !rs.dyn.dead[flat] {
+			return shapeKeys[rs.r.Dyn.Width[n.Name]]
 		}
 	}
 	return ""
-}
-
-// allocateDyn makes one dynamic-path decision. Shape-aware allocators
-// see the group's resolved-shape key; plain allocators get their usual
-// conservative call. Dynamic decisions bypass the memo: they may
-// depend on the shape, which the memo key cannot express.
-func (st *runState) allocateDyn(rs *reqState, group int, remaining time.Duration) (int, bool) {
-	if sa, ok := rs.tn.alloc.(ShapeAwareAllocator); ok {
-		return sa.AllocateShaped(rs.r, group, st.groupShape(rs, group), remaining)
-	}
-	return rs.tn.alloc.Allocate(rs.r, group, remaining)
-}
-
-// startNodeDyn mirrors startNode for one replica of a dynamic node:
-// acquire a pod or park the already-decided allocation until capacity
-// frees up.
-func (st *runState) startNodeDyn(rs *reqState, group, member, replica, mc int, hit, retried bool) {
-	if st.failed != nil {
-		return
-	}
-	fn := rs.plan.groups[group][member].Function
-	pod, cold, err := st.cluster.Acquire(fn, mc)
-	if err != nil {
-		if retried {
-			st.park.restore(st.retrySlot, st.retryPos)
-			if st.om != nil {
-				st.om.parkDepth.Set(int64(st.park.live))
-			}
-			return
-		}
-		rs.acc.Parked++
-		if st.window != nil {
-			st.window.queued[fn]++
-		}
-		st.park.park(st.slotOf(fn), parkedNode{rs: rs, group: int32(group), member: int32(member), replica: int32(replica), mc: int32(mc), hit: hit, fn: fn})
-		if st.tracer != nil {
-			ev := reqEvent(rs, st.engine.Now(), obs.KindPark)
-			ev.Group, ev.Member, ev.Replica = group, member, replica
-			ev.Function = fn
-			ev.Value = int64(mc)
-			st.tracer.Emit(ev)
-		}
-		if rs.tn.om != nil {
-			rs.tn.om.parked.Inc()
-		}
-		if st.om != nil {
-			st.om.parkDepth.Set(int64(st.park.live))
-		}
-		return
-	}
-	if st.window != nil {
-		if retried {
-			st.window.queued[fn]--
-		}
-		st.window.acquires[fn]++
-		if cold {
-			st.window.cold[fn]++
-		}
-	}
-	if st.tracer != nil {
-		now := st.engine.Now()
-		ev := reqEvent(rs, now, obs.KindAcquire)
-		ev.Group, ev.Member, ev.Replica = group, member, replica
-		ev.Function = fn
-		ev.Value = int64(pod.Millicores())
-		ev.Aux = int64(pod.NodeID)
-		ev.Flag = cold
-		st.tracer.Emit(ev)
-		if cold {
-			cs := reqEvent(rs, now, obs.KindColdStart)
-			cs.Group, cs.Member, cs.Replica = group, member, replica
-			cs.Function = fn
-			cs.Value = int64(st.ex.cfg.ColdStartup)
-			st.tracer.Emit(cs)
-		}
-	}
-	st.executeDyn(rs, group, member, replica, pod, cold, hit)
-}
-
-// executeDyn runs one attempt of one replica: the draw comes from the
-// request's pre-sampled per-(replica, attempt) table for map/retry
-// steps and from the base draw otherwise.
-func (st *runState) executeDyn(rs *reqState, group, member, replica int, pod *cluster.Pod, cold, hit bool) {
-	dp := rs.plan.dyn
-	flat := dp.base[group] + member
-	node := rs.plan.groups[group][member]
-	fn := st.ex.fns[node.Function]
-	attempt := rs.dyn.attempt[flat][replica]
-	draw := rs.r.Draws[group][member]
-	if nd, ok := rs.r.Dyn.NodeDraws[node.Name]; ok {
-		draw = nd[replica][attempt]
-	}
-	if st.ex.cfg.LiveInterference {
-		census := st.cluster.Colocated(pod)
-		draw.Slowdown = st.ex.cfg.Interference.Sample(fn.Dimension(), census, st.stream)
-	}
-	startup := st.ex.cfg.WarmStartup
-	if cold {
-		startup = st.ex.cfg.ColdStartup
-	}
-	latency := fn.Latency(draw, pod.Millicores())
-	span := st.ex.cfg.DecisionOverhead + startup + latency
-	start := st.engine.Now()
-	st.engine.Schedule(span, func(end time.Duration) {
-		if st.failed != nil {
-			return
-		}
-		rs.acc.Stages = append(rs.acc.Stages, StageTrace{
-			Function:   node.Function,
-			Step:       node.Name,
-			Stage:      group,
-			Branch:     member,
-			Replica:    replica,
-			Attempt:    attempt,
-			Node:       pod.NodeID,
-			Millicores: pod.Millicores(),
-			Start:      start,
-			End:        end,
-			Startup:    startup,
-			Latency:    latency,
-			Cold:       cold,
-			Hit:        hit,
-		})
-		rs.acc.TotalMillicores += pod.Millicores()
-		if st.tracer != nil {
-			ev := reqEvent(rs, end, obs.KindRelease)
-			ev.Group, ev.Member, ev.Replica = group, member, replica
-			ev.Function = node.Function
-			ev.Value = int64(pod.Millicores())
-			ev.Aux = int64(pod.NodeID)
-			st.tracer.Emit(ev)
-		}
-		if rs.tn.om != nil {
-			rs.tn.om.observeNode(node.Function, latency)
-		}
-		if err := st.cluster.Release(pod); err != nil {
-			st.fail(err)
-			return
-		}
-		st.wake()
-		st.replicaDone(rs, group, member, replica, end)
-	})
-}
-
-// replicaDone handles one attempt's completion: a planned failure
-// re-decides and relaunches the replica (bounded retry), the last
-// replica's success completes the node.
-func (st *runState) replicaDone(rs *reqState, group, member, replica int, end time.Duration) {
-	dp := rs.plan.dyn
-	flat := dp.base[group] + member
-	step := dp.steps[flat]
-	planned := 0
-	if a, ok := rs.r.Dyn.Attempts[step]; ok {
-		planned = a[replica]
-	}
-	if rs.dyn.attempt[flat][replica] < planned {
-		rs.dyn.attempt[flat][replica]++
-		// The re-attempt is a new readiness instant for this node: a
-		// fresh decision against the SLO budget that remains now. The
-		// group's cone table still applies — the remaining work is the
-		// same cone, just later in its budget.
-		remaining := rs.r.Workflow.SLO() - (end - rs.arrival)
-		mc, hit := st.allocateDyn(rs, group, remaining)
-		if mc <= 0 {
-			st.fail(fmt.Errorf("platform: allocator %s returned non-positive allocation %d", rs.tn.alloc.Name(), mc))
-			return
-		}
-		rs.acc.Decisions++
-		if !hit {
-			rs.acc.Misses++
-		}
-		if st.tracer != nil {
-			ev := reqEvent(rs, end, obs.KindDecision)
-			ev.Group = group
-			ev.Value = int64(mc)
-			ev.Aux = int64(remaining)
-			ev.Flag = hit
-			ev.Reason = st.groupShape(rs, group)
-			st.tracer.Emit(ev)
-		}
-		if rs.tn.om != nil {
-			rs.tn.om.decision(hit)
-		}
-		st.startNodeDyn(rs, group, member, replica, mc, hit, false)
-		return
-	}
-	rs.dyn.repsLeft[flat]--
-	if rs.dyn.repsLeft[flat] > 0 {
-		return
-	}
-	st.nodeDoneDyn(rs, flat, end)
-}
-
-// nodeDoneDyn is the dynamic path of nodeDone: a completed choice node
-// first kills its unchosen successor edges (settling every downstream
-// readiness countdown before the completion itself is applied), then
-// the usual pending decrements start whichever groups became ready.
-func (st *runState) nodeDoneDyn(rs *reqState, flat int, end time.Duration) {
-	dp := rs.plan.dyn
-	step := dp.steps[flat]
-	if dp.spec[flat].Choice != nil {
-		chosen := rs.r.Dyn.Choice[step]
-		for i, next := range dp.succ[flat] {
-			if i == chosen {
-				continue
-			}
-			st.edgeDead(rs, next, end)
-			if st.failed != nil {
-				return
-			}
-		}
-	}
-	rs.remaining--
-	if rs.remaining == 0 {
-		st.finishRequest(rs, end)
-		return
-	}
-	for _, dg := range rs.plan.dependents[step] {
-		rs.pending[dg]--
-		if rs.pending[dg] == 0 {
-			st.startGroupDyn(rs, dg)
-			if st.failed != nil {
-				return
-			}
-		}
-	}
 }
 
 // edgeDead records one incoming edge of a node as dead; the node dies
@@ -506,40 +227,19 @@ func (st *runState) edgeDead(rs *reqState, flat int, end time.Duration) {
 // death propagates along every outgoing edge — the cascade that prunes
 // a whole unchosen subtree in one instant.
 func (st *runState) markDead(rs *reqState, flat int, end time.Duration) {
-	dp := rs.plan.dyn
 	rs.dyn.dead[flat] = true
 	rs.remaining--
 	if rs.remaining == 0 {
 		st.finishRequest(rs, end)
 		return
 	}
-	for _, next := range dp.succ[flat] {
+	for _, next := range rs.plan.succ[flat] {
 		st.edgeDead(rs, next, end)
 		if st.failed != nil {
 			return
 		}
 	}
-	step := dp.steps[flat]
-	for _, dg := range rs.plan.dependents[step] {
-		rs.pending[dg]--
-		if rs.pending[dg] == 0 {
-			st.startGroupDyn(rs, dg)
-			if st.failed != nil {
-				return
-			}
-		}
-	}
-}
-
-func (st *runState) finishRequest(rs *reqState, end time.Duration) {
-	rs.acc.Done = end
-	rs.acc.E2E = end - rs.arrival
-	rs.tn.traces[rs.r.ID] = rs.acc
-	rs.tn.done++
-	st.done++
-	if st.tracer != nil || rs.tn.om != nil {
-		st.observeComplete(rs, end)
-	}
+	st.releaseDependents(rs, flat)
 }
 
 // fireTrigger delivers an external event to its await step: if the
@@ -552,7 +252,7 @@ func (st *runState) fireTrigger(rs *reqState, flat int, now time.Duration) {
 	}
 	if st.tracer != nil {
 		ev := reqEvent(rs, now, obs.KindTrigger)
-		ev.Reason = rs.plan.dyn.steps[flat]
+		ev.Reason = rs.plan.name(flat)
 		st.tracer.Emit(ev)
 	}
 	rs.dyn.fired[flat] = true
@@ -560,5 +260,5 @@ func (st *runState) fireTrigger(rs *reqState, flat int, now time.Duration) {
 		return
 	}
 	rs.dyn.waitingTrig[flat] = false
-	st.launchGroupDyn(rs, rs.plan.dyn.loc[flat].group)
+	st.launchGroup(rs, rs.plan.loc[flat].group)
 }

@@ -20,7 +20,7 @@ import (
 // Decision groups: {ingest} {triage} {caption, detect} {ocr} {gate}
 // {publish} — six groups, with caption and detect sharing one group
 // whose members have split liveness after the choice resolves.
-func trigWorkflow(t *testing.T) *workflow.Workflow {
+func trigWorkflow(t testing.TB) *workflow.Workflow {
 	t.Helper()
 	w, err := workflow.NewDynamic("trig", 1500*time.Millisecond,
 		[]workflow.Node{
@@ -52,7 +52,7 @@ func trigWorkflow(t *testing.T) *workflow.Workflow {
 	return w
 }
 
-func trigWorkload(t *testing.T, w *workflow.Workflow, n int) []*Request {
+func trigWorkload(t testing.TB, w *workflow.Workflow, n int) []*Request {
 	t.Helper()
 	coloc, err := interfere.NewCountSampler([]float64{0.5, 0.35, 0.15})
 	if err != nil {
@@ -336,6 +336,18 @@ func TestTriggerValidation(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "more than one start trigger") {
 		t.Fatalf("duplicate start trigger not rejected: %v", err)
 	}
+	// A resume trigger addressed to a static tenant's request names a
+	// step that exists but can never await.
+	static := append(gateTriggers(reqs, "dyn", time.Millisecond), Trigger{Tenant: "stat", Request: 0, Step: "qa"})
+	_, _, err = defaultExecutor(t).RunReplay(
+		[]TenantWorkload{
+			{Tenant: "dyn", Requests: reqs, Allocator: &Fixed{System: "fixed", Sizes: trigSizes}},
+			{Tenant: "stat", Requests: iaWorkload(t, 3), Allocator: &Fixed{System: "fixed", Sizes: []int{2000, 2000, 2000}}},
+		},
+		ReplayConfig{Interval: 100 * time.Millisecond, Triggers: static})
+	if err == nil || !strings.Contains(err.Error(), "not an await step") {
+		t.Fatalf("resume trigger into a static workflow not rejected: %v", err)
+	}
 }
 
 // TestDynamicAlongsideStaticTenant pins that a dynamic tenant and a
@@ -361,6 +373,28 @@ func TestDynamicAlongsideStaticTenant(t *testing.T) {
 	for _, tr := range traces["stat"] {
 		if len(tr.Stages) != 3 {
 			t.Fatalf("static tenant request %d executed %d stages", tr.RequestID, len(tr.Stages))
+		}
+	}
+}
+
+// BenchmarkDynamicServing times the dynamic side of the serving path:
+// 500 requests of trigWorkflow (choice, map with retries, await gate)
+// served through RunReplay with one gate trigger per request. The bench
+// guard pins its allocs/op, so per-request overlay state cannot quietly
+// grow.
+func BenchmarkDynamicServing(b *testing.B) {
+	reqs := trigWorkload(b, trigWorkflow(b), 500)
+	e, err := NewExecutor(DefaultExecutorConfig(), perfmodel.Catalog())
+	if err != nil {
+		b.Fatal(err)
+	}
+	tenants := []TenantWorkload{{Requests: reqs, Allocator: &Fixed{System: "fixed", Sizes: trigSizes}}}
+	cfg := ReplayConfig{Interval: 100 * time.Millisecond, Triggers: gateTriggers(reqs, "", 90*time.Millisecond)}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := e.RunReplay(tenants, cfg); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

@@ -65,38 +65,55 @@ var _ Allocator = plainStep{}
 // through the same decision function twice — once with the memo engaged,
 // once with it hidden — and requires byte-identical traces plus identical
 // recorded budgets: the memo may only skip redundant decision
-// computation, never change an observable.
+// computation, never change an observable. The dynamic input covers the
+// decisions of a dynamic workflow (launches with and without a resolved
+// shape, and retry re-decisions) served through RunReplay.
 func TestMemoizedServingMatchesUnmemoized(t *testing.T) {
-	reqs := iaWorkload(t, 300)
-	memoed := &stepAllocator{}
-	e := defaultExecutor(t)
-	got, err := e.Run(reqs, memoed)
-	if err != nil {
-		t.Fatal(err)
+	serve := map[string]func(t *testing.T, alloc Allocator) []Trace{
+		"static": func(t *testing.T, alloc Allocator) []Trace {
+			traces, err := defaultExecutor(t).Run(iaWorkload(t, 300), alloc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return traces
+		},
+		"dynamic": func(t *testing.T, alloc Allocator) []Trace {
+			reqs := trigWorkload(t, trigWorkflow(t), 300)
+			traces, _, err := defaultExecutor(t).RunReplay(
+				[]TenantWorkload{{Requests: reqs, Allocator: alloc}},
+				ReplayConfig{Interval: 100 * time.Millisecond, Triggers: gateTriggers(reqs, "", 90*time.Millisecond)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return traces[""]
+		},
 	}
-	plain := &stepAllocator{}
-	want, err := defaultExecutor(t).Run(iaWorkload(t, 300), plainStep{plain})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if memoed.calls >= plain.calls {
-		t.Fatalf("memo never engaged: %d calls memoized vs %d unmemoized", memoed.calls, plain.calls)
-	}
-	if memoed.records != plain.records {
-		t.Fatalf("recorded decisions diverged: %d memoized, %d unmemoized", memoed.records, plain.records)
-	}
-	if !reflect.DeepEqual(memoed.budgets, plain.budgets) {
-		t.Fatal("recorded budget sequences diverged")
-	}
-	if len(got) != len(want) {
-		t.Fatalf("trace counts diverged: %d vs %d", len(got), len(want))
-	}
-	for i := range got {
-		g, w := got[i], want[i]
-		g.System, w.System = "", ""
-		if !reflect.DeepEqual(g, w) {
-			t.Fatalf("trace %d diverged:\nmemoized   %+v\nunmemoized %+v", i, g, w)
-		}
+	for _, name := range []string{"static", "dynamic"} {
+		t.Run(name, func(t *testing.T) {
+			memoed := &stepAllocator{}
+			got := serve[name](t, memoed)
+			plain := &stepAllocator{}
+			want := serve[name](t, plainStep{plain})
+			if memoed.calls >= plain.calls {
+				t.Fatalf("memo never engaged: %d calls memoized vs %d unmemoized", memoed.calls, plain.calls)
+			}
+			if memoed.records != plain.records {
+				t.Fatalf("recorded decisions diverged: %d memoized, %d unmemoized", memoed.records, plain.records)
+			}
+			if !reflect.DeepEqual(memoed.budgets, plain.budgets) {
+				t.Fatal("recorded budget sequences diverged")
+			}
+			if len(got) != len(want) {
+				t.Fatalf("trace counts diverged: %d vs %d", len(got), len(want))
+			}
+			for i := range got {
+				g, w := got[i], want[i]
+				g.System, w.System = "", ""
+				if !reflect.DeepEqual(g, w) {
+					t.Fatalf("trace %d diverged:\nmemoized   %+v\nunmemoized %+v", i, g, w)
+				}
+			}
+		})
 	}
 }
 

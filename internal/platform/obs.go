@@ -119,8 +119,7 @@ func reqEvent(rs *reqState, at time.Duration, kind obs.Kind) obs.Event {
 }
 
 // observeComplete emits the completion (and SLO-miss) events and updates
-// the tenant's completion metrics — the shared back half of the static
-// and dynamic completion sites. Callers guard with
+// the tenant's completion metrics for finishRequest, which guards it with
 // `st.tracer != nil || rs.tn.om != nil`.
 func (st *runState) observeComplete(rs *reqState, end time.Duration) {
 	e2e, slo := rs.acc.E2E, rs.acc.SLO

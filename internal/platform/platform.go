@@ -14,7 +14,8 @@
 // parking — and runs concurrently on the simulated clock. Chains (every
 // group one node) and series-parallel workflows (groups are exactly the
 // fork-join stages) are special cases of the same engine, reproduced
-// byte for byte.
+// byte for byte; so is every static workflow, which the scheduler serves
+// as a dynamic one (dynamic.go) without annotations.
 //
 // The Allocator interface is the single point where serving systems differ:
 //
@@ -118,12 +119,14 @@ type Allocator interface {
 
 // ShapeAwareAllocator is an Allocator that can exploit the parts of a
 // dynamic workflow's shape already resolved at a decision instant. The
-// serving plane calls AllocateShaped for every decision of a dynamic
-// workflow, passing the resolved-shape key of the decision group ("w=3"
-// when the group's map member resolved to width 3; "" when nothing in
-// the group resolved). Allocators fall back to their conservative
-// worst-case table when they have no variant for the key — plain
-// Allocators never see shapes at all, which is exactly the static
+// serving plane calls AllocateShaped for every decision whose group has
+// a resolved shape, passing its key ("w=3" when the group's map member
+// resolved to width 3). Decisions with nothing resolved — every decision
+// of a static workflow included — go through Allocate (and the memo of a
+// MemoizableAllocator), so AllocateShaped(req, g, "", b) must decide
+// exactly as Allocate(req, g, b). Allocators fall back to their
+// conservative worst-case table when they have no variant for the key —
+// plain Allocators never see shapes at all, which is exactly the static
 // worst-case planning the trigger experiment compares against.
 type ShapeAwareAllocator interface {
 	Allocator
@@ -567,7 +570,7 @@ type runState struct {
 	stream  *rng.Stream
 	// plans caches the readiness structure per workflow: requests of one
 	// workload share one plan.
-	plans map[*workflow.Workflow]*dagPlan
+	plans map[*workflow.Workflow]*plan
 	// done counts requests whose last node finished, across all tenants;
 	// RunMixed compares it to the merged request count so starved requests
 	// surface as an error instead of draining out as zero-value traces.
@@ -614,8 +617,8 @@ type runState struct {
 
 // parkedNode is one pod acquisition waiting on cluster capacity: the
 // already-decided allocation for one member node of a decision group.
-// replica distinguishes map replicas of a dynamic node; it is always 0
-// on the static path. The park index stores these records in
+// replica distinguishes map replicas of a node; it is 0 for nodes
+// without a map. The park index stores these records in
 // per-function arrays at fleet depth, so the layout is deliberately
 // narrow: int32 covers every field's range (group/member/slot are
 // dense small indexes, replica < MaxMapWidth, millicores < 2^31) and
@@ -632,53 +635,116 @@ type parkedNode struct {
 	hit     bool
 }
 
-// dagPlan is the precomputed readiness structure of one workflow DAG: how
-// many predecessor nodes gate each decision group and which groups each
-// node's completion advances. It is derived once per workflow and shared
-// by every request (and tenant) serving it.
-type dagPlan struct {
+// nodeKind flags a node's dynamic annotations. Static workflows carry
+// none, so their nodes take none of the scheduler's overlay branches and
+// their requests never touch per-request overlay state.
+type nodeKind uint8
+
+const (
+	kindChoice nodeKind = 1 << iota
+	kindMap
+	kindRetry
+	kindAwait
+	// kindReplicated nodes execute per (replica, attempt) off
+	// Request.Dyn's pre-sampled tables.
+	kindReplicated = kindMap | kindRetry
+)
+
+// plan is the precomputed readiness structure of one workflow: how many
+// predecessor nodes gate each decision group, which groups each node's
+// completion advances, and each node's annotations. It is derived once
+// per workflow and shared by every request (and tenant) serving it.
+// Nodes are flat-indexed group by group — member b of group g is node
+// base[g]+b. A static workflow is simply a plan without annotations:
+// no dead edges, width 1, one attempt.
+type plan struct {
 	groups [][]workflow.Node
 	// predCount[g] is the number of distinct predecessor nodes of group g;
 	// the group becomes ready when that many completions have arrived.
 	predCount []int
-	// dependents maps a step name to the groups (ascending) whose
-	// predecessor set contains it.
-	dependents map[string][]int
-	// nodes is the total node count; a request completes when that many
-	// nodes have finished (dead nodes — pruned by an upstream choice —
-	// count as finished at the instant their death is determined).
-	nodes int
-	// dyn is the dynamic-shape overlay (liveness edges, annotations,
-	// choice targets); nil for static workflows, whose serving path is
-	// untouched by it.
-	dyn *dynPlan
+	base      []int
+	// depList[depOff[flat]:depOff[flat+1]] lists the groups (ascending)
+	// whose predecessor set contains node flat.
+	depOff, depList []int
+	// flat maps a step name to its flat index.
+	flat map[string]int
+	// kind holds each node's annotation flags; len(kind) is the node
+	// count, and a request completes when that many nodes have finished
+	// (dead nodes — pruned by an upstream choice — count as finished at
+	// the instant their death is determined).
+	kind []nodeKind
+	// prunes marks plans with a choice node, the only ones whose nodes
+	// can die.
+	prunes bool
+	// The tables below are read only through annotations and built only
+	// for dynamic workflows (annotate, dynamic.go), indexed by flat node
+	// index: the node's location and annotation, its skeleton in-degree
+	// (which liveness counts down from), and its successors in
+	// edge-declaration order (the order choice resolutions index).
+	// awaits lists the await steps.
+	loc    []nodeLoc
+	spec   []workflow.DynamicNode
+	inDeg  []int
+	succ   [][]int
+	awaits []int
 }
 
-func newDAGPlan(w *workflow.Workflow) *dagPlan {
+func newPlan(w *workflow.Workflow) *plan {
 	decision := w.DecisionGroups()
-	p := &dagPlan{
-		groups:     make([][]workflow.Node, len(decision)),
-		predCount:  make([]int, len(decision)),
-		dependents: make(map[string][]int),
+	nodes, edges := 0, 0
+	for _, grp := range decision {
+		nodes += len(grp.Nodes)
+		edges += len(grp.Preds)
+	}
+	ng := len(decision)
+	ints := make([]int, 2*ng+nodes+1+edges)
+	p := &plan{
+		groups:    make([][]workflow.Node, ng),
+		predCount: ints[:ng],
+		base:      ints[ng : 2*ng],
+		depOff:    ints[2*ng : 2*ng+nodes+1],
+		depList:   ints[2*ng+nodes+1:],
+		flat:      make(map[string]int, nodes),
+		kind:      make([]nodeKind, nodes),
 	}
 	for g, grp := range decision {
 		p.groups[g] = grp.Nodes
 		p.predCount[g] = len(grp.Preds)
-		p.nodes += len(grp.Nodes)
-		for _, pred := range grp.Preds {
-			p.dependents[pred] = append(p.dependents[pred], g)
+		p.base[g] = len(p.flat)
+		for _, n := range grp.Nodes {
+			p.flat[n.Name] = len(p.flat)
 		}
 	}
+	// Count each node's dependents into depOff[flat+1], prefix-sum, then
+	// fill in ascending group order using depOff[flat] as the cursor — which
+	// leaves it at the next node's start, so one shift restores it.
+	for _, grp := range decision {
+		for _, pred := range grp.Preds {
+			p.depOff[p.flat[pred]+1]++
+		}
+	}
+	for f := 0; f < nodes; f++ {
+		p.depOff[f+1] += p.depOff[f]
+	}
+	for g, grp := range decision {
+		for _, pred := range grp.Preds {
+			f := p.flat[pred]
+			p.depList[p.depOff[f]] = g
+			p.depOff[f]++
+		}
+	}
+	copy(p.depOff[1:], p.depOff[:nodes])
+	p.depOff[0] = 0
 	if w.IsDynamic() {
-		p.dyn = newDynPlan(w, p)
+		p.annotate(w)
 	}
 	return p
 }
 
-func (st *runState) planFor(w *workflow.Workflow) *dagPlan {
+func (st *runState) planFor(w *workflow.Workflow) *plan {
 	p, ok := st.plans[w]
 	if !ok {
-		p = newDAGPlan(w)
+		p = newPlan(w)
 		st.plans[w] = p
 	}
 	return p
@@ -692,7 +758,7 @@ func (st *runState) planFor(w *workflow.Workflow) *dagPlan {
 type reqState struct {
 	tn   *tenantRun
 	r    *Request
-	plan *dagPlan
+	plan *plan
 	acc  Trace
 	// pending[g] counts the group's unfinished predecessor nodes; the
 	// group starts when it reaches zero. A dead node (pruned by an
@@ -708,7 +774,8 @@ type reqState struct {
 	// its own Arrival instant.
 	external bool
 	// dyn holds the per-request dynamic-shape state (liveness, replica
-	// joins, retry counters, await latches); nil for static plans.
+	// joins, retry counters, await latches); nil for static plans, whose
+	// nodes carry no annotation that would read it.
 	dyn *dynReqState
 }
 
@@ -791,7 +858,7 @@ func (e *Executor) prepareRun(tenants []TenantWorkload, triggers []Trigger) (*ru
 		engine:  simclock.New(),
 		cluster: cl,
 		stream:  rng.New(e.cfg.Seed).Split("executor"),
-		plans:   make(map[*workflow.Workflow]*dagPlan),
+		plans:   make(map[*workflow.Workflow]*plan),
 		total:   total,
 		tracer:  e.cfg.Tracer,
 	}
@@ -811,7 +878,7 @@ func (e *Executor) prepareRun(tenants []TenantWorkload, triggers []Trigger) (*ru
 		for _, r := range tw.Requests {
 			plan := st.planFor(r.Workflow)
 			totalPending += len(plan.predCount)
-			totalNodes += plan.nodes
+			totalNodes += len(plan.kind)
 			if len(r.Groups) != len(plan.groups) || len(r.Draws) != len(plan.groups) {
 				return nil, fmt.Errorf("platform: tenant %q request %d carries %d groups / %d draw rows, workflow %s has %d decision groups",
 					tw.Tenant, r.ID, len(r.Groups), len(r.Draws), r.Workflow.Name(), len(plan.groups))
@@ -833,10 +900,8 @@ func (e *Executor) prepareRun(tenants []TenantWorkload, triggers []Trigger) (*ru
 					}
 				}
 			}
-			if plan.dyn != nil {
-				if err := plan.dyn.validateRequest(tw.Tenant, r); err != nil {
-					return nil, err
-				}
+			if err := plan.validateRequest(tw.Tenant, r); err != nil {
+				return nil, err
 			}
 		}
 	}
@@ -879,20 +944,18 @@ func (e *Executor) prepareRun(tenants []TenantWorkload, triggers []Trigger) (*ru
 			rs.pending = pendArena[po : po+np : po+np]
 			po += np
 			copy(rs.pending, plan.predCount)
-			rs.remaining = plan.nodes
+			rs.remaining = len(plan.kind)
 			rs.arrival = r.Arrival
-			if plan.dyn != nil {
-				rs.dyn = newDynReqState(plan.dyn)
-			}
+			rs.dyn = newDynReqState(plan)
 			rs.acc = Trace{
 				RequestID: r.ID,
 				Tenant:    tn.name,
 				System:    tn.alloc.Name(),
 				Arrival:   r.Arrival,
 				SLO:       r.Workflow.SLO(),
-				Stages:    stageArena[so : so : so+plan.nodes],
+				Stages:    stageArena[so : so : so+len(plan.kind)],
 			}
-			so += plan.nodes
+			so += len(plan.kind)
 			if byID != nil {
 				byID[r.ID] = rs
 			}
@@ -906,13 +969,10 @@ func (e *Executor) prepareRun(tenants []TenantWorkload, triggers []Trigger) (*ru
 	// engine's external-event queue.
 	for i := range st.reqStates {
 		rs := &st.reqStates[i]
-		if rs.dyn == nil {
-			continue
-		}
-		for _, flat := range rs.plan.dyn.awaits {
+		for _, flat := range rs.plan.awaits {
 			if !rs.dyn.armed[flat] {
 				return nil, fmt.Errorf("platform: await step %q of tenant %q request %d has no trigger; awaits resume only through ReplayConfig.Triggers",
-					rs.plan.dyn.steps[flat], rs.tn.name, rs.r.ID)
+					rs.plan.name(flat), rs.tn.name, rs.r.ID)
 			}
 		}
 	}
@@ -952,11 +1012,8 @@ func (st *runState) armTriggers(triggers []Trigger, byTenant map[string]map[int]
 			st.engine.ScheduleAt(tr.At, func(now time.Duration) { st.startRequestAt(rs, now) })
 			continue
 		}
-		if rs.plan.dyn == nil {
-			return fmt.Errorf("platform: trigger %d resumes step %q of static workflow %s", i, tr.Step, rs.r.Workflow.Name())
-		}
-		flat, ok := rs.plan.dyn.flat[tr.Step]
-		if !ok || !rs.plan.dyn.isAwait(flat) {
+		flat, ok := rs.plan.flat[tr.Step]
+		if !ok || rs.plan.kind[flat]&kindAwait == 0 {
 			return fmt.Errorf("platform: trigger %d resumes step %q of workflow %s, which is not an await step", i, tr.Step, rs.r.Workflow.Name())
 		}
 		rs.dyn.armed[flat] = true
@@ -1023,27 +1080,73 @@ func (st *runState) startRequest(rs *reqState) {
 	}
 }
 
-// startGroup makes the group's allocation decision — exactly once, even if
-// member nodes later stall on capacity — and launches every member. The
-// budget handed to the allocator is the critical-path remaining budget
-// SLO − elapsed: the group's descendant cone (every path from here to the
-// workflow's sinks) must complete within it, and the group's hints table
-// splits it over the cone's critical path, so no further scaling is
-// applied at decision time.
+// startGroup runs at the group's readiness instant — every predecessor
+// completed or pruned, so every member's liveness is determined. A
+// fully pruned group never runs, and an await step (always a singleton
+// group) defers its group's decision to the fire instant of its
+// trigger; every other group launches now.
 func (st *runState) startGroup(rs *reqState, group int) {
 	if st.failed != nil {
 		return
 	}
-	if rs.dyn != nil {
-		st.startGroupDyn(rs, group)
+	p := rs.plan
+	if p.prunes && rs.dyn.pruned(p, group) {
+		return // the members' deaths already advanced readiness
+	}
+	if flat := p.base[group]; p.kind[flat]&kindAwait != 0 && !rs.dyn.fired[flat] {
+		rs.dyn.waitingTrig[flat] = true
 		return
 	}
-	now := st.engine.Now()
+	st.launchGroup(rs, group)
+}
+
+// launchGroup makes the group's allocation decision — exactly once, even
+// if member nodes later stall on capacity — and launches every live
+// member, a map member as its resolved number of replicas.
+func (st *runState) launchGroup(rs *reqState, group int) {
+	mc, hit := st.decide(rs, group, st.engine.Now())
+	if st.failed != nil {
+		return
+	}
+	p := rs.plan
+	for b := range p.groups[group] {
+		flat := p.base[group] + b
+		if p.prunes && rs.dyn.dead[flat] {
+			continue
+		}
+		width := 1
+		if k := p.kind[flat]; k&kindReplicated != 0 {
+			if k&kindMap != 0 {
+				width = rs.r.Dyn.Width[p.groups[group][b].Name]
+			}
+			rs.dyn.repsLeft[flat] = width
+			if k&kindRetry != 0 {
+				rs.dyn.attempt[flat] = make([]int, width)
+			}
+		}
+		for rep := 0; rep < width; rep++ {
+			st.startNode(rs, group, b, rep, mc, hit, false)
+			if st.failed != nil {
+				return
+			}
+		}
+	}
+}
+
+// decide makes one allocation decision for the group at instant now and
+// books it. The budget handed to the allocator is the critical-path
+// remaining budget SLO − elapsed: the group's descendant cone (every
+// path from here to the workflow's sinks) must complete within it, and
+// the group's hints table splits it over the cone's critical path, so
+// no further scaling is applied at decision time. A launch and a retry
+// re-attempt both decide here; a non-positive allocation fails the run.
+func (st *runState) decide(rs *reqState, group int, now time.Duration) (int, bool) {
 	remaining := rs.r.Workflow.SLO() - (now - rs.arrival)
-	mc, hit := st.allocate(rs, group, remaining)
+	shape := rs.groupShape(group)
+	mc, hit := st.allocate(rs, group, shape, remaining)
 	if mc <= 0 {
 		st.fail(fmt.Errorf("platform: allocator %s returned non-positive allocation %d", rs.tn.alloc.Name(), mc))
-		return
+		return 0, false
 	}
 	rs.acc.Decisions++
 	if !hit {
@@ -1055,27 +1158,31 @@ func (st *runState) startGroup(rs *reqState, group int) {
 		ev.Value = int64(mc)
 		ev.Aux = int64(remaining)
 		ev.Flag = hit
+		ev.Reason = shape
 		st.tracer.Emit(ev)
 	}
 	if rs.tn.om != nil {
 		rs.tn.om.decision(hit)
 	}
-	for b := range rs.plan.groups[group] {
-		st.startNode(rs, group, b, mc, hit, false)
-		if st.failed != nil {
-			return
-		}
-	}
+	return mc, hit
 }
 
-// allocate makes one decision, serving it from the tenant's memo when the
-// allocator declared itself memoizable. Cache hits replay the allocator's
-// recording side effects through RecordCached with the true remaining
-// budget, so stats, epoch windows, and regeneration instants match the
-// unmemoized run exactly; the memo is cleared whenever the allocator's
-// epoch moves (a hot-swapped bundle decides differently).
-func (st *runState) allocate(rs *reqState, group int, remaining time.Duration) (int, bool) {
+// allocate routes one decision. A resolved shape goes to a shape-aware
+// allocator's AllocateShaped; every other decision calls Allocate,
+// served from the tenant's memo when the allocator declared itself
+// memoizable — exact for shape-aware allocators too, whose empty-key
+// AllocateShaped is Allocate by contract. Memo hits replay the
+// allocator's recording side effects through RecordCached with the true
+// remaining budget, so stats, epoch windows, and regeneration instants
+// match the unmemoized run exactly; the memo is cleared whenever the
+// allocator's epoch moves (a hot-swapped bundle decides differently).
+func (st *runState) allocate(rs *reqState, group int, shape string, remaining time.Duration) (int, bool) {
 	tn := rs.tn
+	if shape != "" {
+		if sa, ok := tn.alloc.(ShapeAwareAllocator); ok {
+			return sa.AllocateShaped(rs.r, group, shape, remaining)
+		}
+	}
 	if tn.memo == nil {
 		return tn.alloc.Allocate(rs.r, group, remaining)
 	}
@@ -1094,12 +1201,12 @@ func (st *runState) allocate(rs *reqState, group int, remaining time.Duration) (
 	return mc, hit
 }
 
-// startNode acquires a pod for one node, parking the acquisition (not the
-// decision — that is already made and paid for) when the cluster lacks
-// capacity. retried marks a wake()-driven re-attempt: a node counts one
-// Parked queueing episode no matter how many releases it sleeps through
-// before fitting.
-func (st *runState) startNode(rs *reqState, group, member, mc int, hit, retried bool) {
+// startNode acquires a pod for one replica of a node, parking the
+// acquisition (not the decision — that is already made and paid for)
+// when the cluster lacks capacity. retried marks a wake()-driven
+// re-attempt: a node counts one Parked queueing episode no matter how
+// many releases it sleeps through before fitting.
+func (st *runState) startNode(rs *reqState, group, member, replica, mc int, hit, retried bool) {
 	if st.failed != nil {
 		return
 	}
@@ -1121,10 +1228,10 @@ func (st *runState) startNode(rs *reqState, group, member, mc int, hit, retried 
 		if st.window != nil {
 			st.window.queued[fn]++
 		}
-		st.park.park(st.slotOf(fn), parkedNode{rs: rs, group: int32(group), member: int32(member), mc: int32(mc), hit: hit, fn: fn})
+		st.park.park(st.slotOf(fn), parkedNode{rs: rs, group: int32(group), member: int32(member), replica: int32(replica), mc: int32(mc), hit: hit, fn: fn})
 		if st.tracer != nil {
 			ev := reqEvent(rs, st.engine.Now(), obs.KindPark)
-			ev.Group, ev.Member = group, member
+			ev.Group, ev.Member, ev.Replica = group, member, replica
 			ev.Function = fn
 			ev.Value = int64(mc)
 			st.tracer.Emit(ev)
@@ -1149,7 +1256,7 @@ func (st *runState) startNode(rs *reqState, group, member, mc int, hit, retried 
 	if st.tracer != nil {
 		now := st.engine.Now()
 		ev := reqEvent(rs, now, obs.KindAcquire)
-		ev.Group, ev.Member = group, member
+		ev.Group, ev.Member, ev.Replica = group, member, replica
 		ev.Function = fn
 		ev.Value = int64(pod.Millicores())
 		ev.Aux = int64(pod.NodeID)
@@ -1157,19 +1264,31 @@ func (st *runState) startNode(rs *reqState, group, member, mc int, hit, retried 
 		st.tracer.Emit(ev)
 		if cold {
 			cs := reqEvent(rs, now, obs.KindColdStart)
-			cs.Group, cs.Member = group, member
+			cs.Group, cs.Member, cs.Replica = group, member, replica
 			cs.Function = fn
 			cs.Value = int64(st.ex.cfg.ColdStartup)
 			st.tracer.Emit(cs)
 		}
 	}
-	st.execute(rs, group, member, pod, cold, hit)
+	st.execute(rs, group, member, replica, pod, cold, hit)
 }
 
-func (st *runState) execute(rs *reqState, group, member int, pod *cluster.Pod, cold, hit bool) {
-	node := rs.plan.groups[group][member]
+// execute runs one attempt of one replica on its pod. The draw is the
+// request's base draw, or for a map/retry node its pre-sampled
+// per-(replica, attempt) draw.
+func (st *runState) execute(rs *reqState, group, member, replica int, pod *cluster.Pod, cold, hit bool) {
+	p := rs.plan
+	flat := p.base[group] + member
+	node := &p.groups[group][member]
 	fn := st.ex.fns[node.Function]
 	draw := rs.r.Draws[group][member]
+	attempt := 0
+	if k := p.kind[flat]; k&kindReplicated != 0 {
+		if k&kindRetry != 0 {
+			attempt = rs.dyn.attempt[flat][replica]
+		}
+		draw = rs.r.Dyn.NodeDraws[node.Name][replica][attempt]
+	}
 	if st.ex.cfg.LiveInterference {
 		census := st.cluster.Colocated(pod)
 		draw.Slowdown = st.ex.cfg.Interference.Sample(fn.Dimension(), census, st.stream)
@@ -1183,15 +1302,20 @@ func (st *runState) execute(rs *reqState, group, member int, pod *cluster.Pod, c
 	// carries the decision overhead alongside its own startup and latency.
 	span := st.ex.cfg.DecisionOverhead + startup + latency
 	start := st.engine.Now()
+	// The closure re-reads the node from the plan instead of capturing it,
+	// keeping the per-execution event small.
 	st.engine.Schedule(span, func(end time.Duration) {
 		if st.failed != nil {
 			return
 		}
+		node := &rs.plan.groups[group][member]
 		rs.acc.Stages = append(rs.acc.Stages, StageTrace{
 			Function:   node.Function,
 			Step:       node.Name,
 			Stage:      group,
 			Branch:     member,
+			Replica:    replica,
+			Attempt:    attempt,
 			Node:       pod.NodeID,
 			Millicores: pod.Millicores(),
 			Start:      start,
@@ -1204,7 +1328,7 @@ func (st *runState) execute(rs *reqState, group, member int, pod *cluster.Pod, c
 		rs.acc.TotalMillicores += pod.Millicores()
 		if st.tracer != nil {
 			ev := reqEvent(rs, end, obs.KindRelease)
-			ev.Group, ev.Member = group, member
+			ev.Group, ev.Member, ev.Replica = group, member, replica
 			ev.Function = node.Function
 			ev.Value = int64(pod.Millicores())
 			ev.Aux = int64(pod.NodeID)
@@ -1218,28 +1342,71 @@ func (st *runState) execute(rs *reqState, group, member int, pod *cluster.Pod, c
 			return
 		}
 		st.wake()
-		st.nodeDone(rs, node.Name, end)
+		st.replicaDone(rs, group, member, replica, end)
 	})
 }
 
-// nodeDone advances the readiness countdowns after a node completes: any
-// dependent group whose predecessor count reaches zero starts (the
-// implicit join at in-degree > 1 nodes), and the request finishes when its
-// last node does.
-func (st *runState) nodeDone(rs *reqState, step string, end time.Duration) {
+// replicaDone handles one attempt's completion: a planned failure
+// re-decides and relaunches the replica (bounded retry), and the last
+// replica's success completes the node.
+func (st *runState) replicaDone(rs *reqState, group, member, replica int, end time.Duration) {
+	p := rs.plan
+	flat := p.base[group] + member
+	if k := p.kind[flat]; k&kindReplicated != 0 {
+		if k&kindRetry != 0 && rs.dyn.attempt[flat][replica] < rs.r.Dyn.Attempts[p.groups[group][member].Name][replica] {
+			rs.dyn.attempt[flat][replica]++
+			// The re-attempt is a new readiness instant for this node: a
+			// fresh decision against the SLO budget that remains now. The
+			// group's cone table still applies — the remaining work is the
+			// same cone, just later in its budget.
+			mc, hit := st.decide(rs, group, end)
+			if st.failed != nil {
+				return
+			}
+			st.startNode(rs, group, member, replica, mc, hit, false)
+			return
+		}
+		rs.dyn.repsLeft[flat]--
+		if rs.dyn.repsLeft[flat] > 0 {
+			return
+		}
+	}
+	st.nodeDone(rs, flat, end)
+}
+
+// nodeDone advances the readiness countdowns after a node completes. A
+// completed choice node first kills its unchosen successor edges
+// (settling every downstream countdown before the completion itself is
+// applied); then any dependent group whose predecessor count reaches
+// zero starts (the implicit join at in-degree > 1 nodes), and the
+// request finishes when its last node does.
+func (st *runState) nodeDone(rs *reqState, flat int, end time.Duration) {
+	p := rs.plan
+	if p.kind[flat]&kindChoice != 0 {
+		chosen := rs.r.Dyn.Choice[p.name(flat)]
+		for i, next := range p.succ[flat] {
+			if i == chosen {
+				continue
+			}
+			st.edgeDead(rs, next, end)
+			if st.failed != nil {
+				return
+			}
+		}
+	}
 	rs.remaining--
 	if rs.remaining == 0 {
-		rs.acc.Done = end
-		rs.acc.E2E = end - rs.arrival
-		rs.tn.traces[rs.r.ID] = rs.acc
-		rs.tn.done++
-		st.done++
-		if st.tracer != nil || rs.tn.om != nil {
-			st.observeComplete(rs, end)
-		}
+		st.finishRequest(rs, end)
 		return
 	}
-	for _, dg := range rs.plan.dependents[step] {
+	st.releaseDependents(rs, flat)
+}
+
+// releaseDependents counts node flat as finished in every dependent
+// group's countdown and starts the groups that became ready.
+func (st *runState) releaseDependents(rs *reqState, flat int) {
+	p := rs.plan
+	for _, dg := range p.depList[p.depOff[flat]:p.depOff[flat+1]] {
 		rs.pending[dg]--
 		if rs.pending[dg] == 0 {
 			st.startGroup(rs, dg)
@@ -1247,6 +1414,17 @@ func (st *runState) nodeDone(rs *reqState, step string, end time.Duration) {
 				return
 			}
 		}
+	}
+}
+
+func (st *runState) finishRequest(rs *reqState, end time.Duration) {
+	rs.acc.Done = end
+	rs.acc.E2E = end - rs.arrival
+	rs.tn.traces[rs.r.ID] = rs.acc
+	rs.tn.done++
+	st.done++
+	if st.tracer != nil || rs.tn.om != nil {
+		st.observeComplete(rs, end)
 	}
 }
 
@@ -1317,11 +1495,7 @@ func (st *runState) wake() {
 		if st.om != nil {
 			st.om.parkDepth.Set(int64(st.park.live))
 		}
-		if p.rs.dyn != nil {
-			st.startNodeDyn(p.rs, int(p.group), int(p.member), int(p.replica), int(p.mc), p.hit, true)
-		} else {
-			st.startNode(p.rs, int(p.group), int(p.member), int(p.mc), p.hit, true)
-		}
+		st.startNode(p.rs, int(p.group), int(p.member), int(p.replica), int(p.mc), p.hit, true)
 		if st.failed != nil {
 			return
 		}

@@ -6,7 +6,10 @@
 // The package is a facade over the internal packages; everything a
 // downstream user needs is exported here:
 //
-//   - define chain workflows with end-to-end latency SLOs (Workflow),
+//   - define DAG workflows with end-to-end latency SLOs (Workflow),
+//     including dynamic ones whose shape resolves per request — choice
+//     branches, bounded map fan-out, retries and externally triggered
+//     await steps (NewDynamicWorkflow),
 //   - profile their functions across CPU allocations and concurrency
 //     levels (Deploy runs the offline Profiler),
 //   - synthesize and condense hints tables (the Synthesizer, Algorithm 1
