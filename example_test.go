@@ -100,7 +100,7 @@ func ExampleGenerateWorkload() {
 	// draws per request: 3
 }
 
-// ExampleNewDAGWorkflow serves a genuinely non-series-parallel DAG end to
+// ExampleNewWorkflow serves a genuinely non-series-parallel DAG end to
 // end through the facade: a diamond with a cross edge — fetch fans out to
 // a detector and a classifier, the detector also feeds an OCR pass, and
 // everything joins at a fuse node. No stage decomposition exists for this
@@ -109,8 +109,8 @@ func ExampleGenerateWorkload() {
 // detect/classify fork, and makes one decision per decision group against
 // the remaining budget via the hints table for that group's descendant
 // cone.
-func ExampleNewDAGWorkflow() {
-	w, err := janus.NewDAGWorkflow("vision", 1300*time.Millisecond,
+func ExampleNewWorkflow() {
+	w, err := janus.NewWorkflow("vision", 1300*time.Millisecond,
 		[]janus.WorkflowNode{
 			{Name: "fetch", Function: "fe"},
 			{Name: "detect", Function: "icl"},

@@ -56,14 +56,10 @@ func TestChainSPGolden(t *testing.T) {
 		w       *workflow.Workflow
 		systems []string
 	}
-	spw, err := SPWorkflow()
-	if err != nil {
-		t.Fatal(err)
-	}
 	grids := []grid{
 		{workflow.IntelligentAssistant(), AllSystems()},
 		{workflow.VideoAnalyze(), AllSystems()},
-		{spw, SPSystems()},
+		{workflow.VideoAnalyzeSP(), SPSystems()},
 	}
 	for _, g := range grids {
 		runs, err := s.RunPoint(g.w, 1, g.systems)

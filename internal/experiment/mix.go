@@ -31,16 +31,13 @@ type MixTenant struct {
 // SLO). VA and VA-SP deliberately share functions (fe, icl, ico): their
 // pods draw from the same warm pools and inflate each other's co-location
 // census, the same-function contention the paper's interference study
-// (Fig 1c) measures.
+// (Fig 1c) measures. The tenants are static catalog workflows, so the
+// error is always nil.
 func MixTenants() ([]MixTenant, error) {
-	sp, err := SPWorkflow()
-	if err != nil {
-		return nil, err
-	}
 	return []MixTenant{
 		{Tenant: "ia", Workflow: workflow.IntelligentAssistant()},
 		{Tenant: "va", Workflow: workflow.VideoAnalyze()},
-		{Tenant: "va-sp", Workflow: sp},
+		{Tenant: "va-sp", Workflow: workflow.VideoAnalyzeSP()},
 	}, nil
 }
 

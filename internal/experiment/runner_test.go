@@ -43,11 +43,7 @@ func TestRunnerDeterministicAcrossParallelism(t *testing.T) {
 		for _, sys := range AllSystems() {
 			out = append(out, Point{Workflow: workflow.IntelligentAssistant(), Batch: 1, System: sys})
 		}
-		sp, err := SPPoints()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return append(out, sp...)
+		return append(out, SPPoints()...)
 	}
 	sequential := QuickSuite()
 	r1 := &Runner{Suite: sequential, Parallelism: 1}

@@ -5,22 +5,17 @@ import (
 	"strings"
 	"time"
 
-	"janus/internal/parallel"
 	"janus/internal/platform"
 	"janus/internal/workflow"
 )
 
-// SPWorkflowName names the series-parallel scenario workload: the Video
-// Analyze application in its fork-join form (frame extraction fanning out
-// to concurrent classification and compression).
+// SPWorkflowName names the series-parallel scenario workload,
+// workflow.VideoAnalyzeSP: the Video Analyze application in its fork-join
+// form (frame extraction fanning out to concurrent classification and
+// compression). It serves through the same platform.Executor as every
+// chain point: per-branch pods, warm-pool hits and cold starts per
+// branch, capacity parking, slowest-branch joins.
 const SPWorkflowName = "va-sp"
-
-// SPWorkflow returns the scenario's fork-join DAG. It serves through the
-// same platform.Executor as every chain point: per-branch pods, warm-pool
-// hits and cold starts per branch, capacity parking, slowest-branch joins.
-func SPWorkflow() (*workflow.Workflow, error) {
-	return parallel.VideoAnalyze().DAG()
-}
 
 // SPSystems lists the systems of the series-parallel scenario, in display
 // order. ORION sits out: its distribution model needs raw per-allocation
@@ -42,11 +37,8 @@ func spSweepSystems() []string { return []string{SysOptimal, SysJanus, SysGrandS
 
 // SPPoints enumerates the series-parallel scenario grid — every scenario
 // system at the default rate plus the arrival sweep — as runner points.
-func SPPoints() ([]Point, error) {
-	w, err := SPWorkflow()
-	if err != nil {
-		return nil, err
-	}
+func SPPoints() []Point {
+	w := workflow.VideoAnalyzeSP()
 	var out []Point
 	for _, sys := range SPSystems() {
 		out = append(out, Point{Workflow: w, Batch: 1, System: sys})
@@ -56,7 +48,7 @@ func SPPoints() ([]Point, error) {
 			out = append(out, Point{Workflow: w, Batch: 1, System: sys, ArrivalRatePerSec: rate})
 		}
 	}
-	return out, nil
+	return out
 }
 
 // SPRow is one system's summary in the series-parallel scenario.
@@ -77,10 +69,7 @@ type SPRow struct {
 // scenario system on the shared cluster substrate and summarizes latency,
 // consumption, and substrate behavior per system.
 func (s *Suite) SPScenario() ([]SPRow, error) {
-	w, err := SPWorkflow()
-	if err != nil {
-		return nil, err
-	}
+	w := workflow.VideoAnalyzeSP()
 	runs, err := s.RunPoint(w, 1, SPSystems())
 	if err != nil {
 		return nil, err
@@ -140,10 +129,7 @@ type SPArrivalRow struct {
 // worker pool; results come back in input order and are consumed by
 // position.
 func (s *Suite) SPArrivalSweep() ([]SPArrivalRow, error) {
-	w, err := SPWorkflow()
-	if err != nil {
-		return nil, err
-	}
+	w := workflow.VideoAnalyzeSP()
 	var points []Point
 	for _, rate := range SPArrivalRates() {
 		for _, sys := range spSweepSystems() {

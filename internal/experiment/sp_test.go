@@ -60,10 +60,7 @@ func TestSPArrivalSweepMonotonePressure(t *testing.T) {
 }
 
 func TestSPPointsGrid(t *testing.T) {
-	points, err := SPPoints()
-	if err != nil {
-		t.Fatal(err)
-	}
+	points := SPPoints()
 	want := len(SPSystems()) + len(SPArrivalRates())*len(spSweepSystems())
 	if len(points) != want {
 		t.Fatalf("%d points, want %d", len(points), want)

@@ -1,3 +1,8 @@
+// Package parallel holds the series-parallel (fork-join) regression tests.
+// Fork-join workflows have no API of their own: they are built with
+// workflow.NewSeriesParallel, profiled per decision group by
+// profile.Profiler.ProfileWorkflow and served by platform.Executor like any
+// other DAG. These tests pin that path end to end on the fork-join shapes.
 package parallel
 
 import (
@@ -5,74 +10,90 @@ import (
 	"testing"
 	"time"
 
-	"janus/internal/adapter"
 	"janus/internal/baseline"
 	"janus/internal/cluster"
 	"janus/internal/core"
 	"janus/internal/interfere"
 	"janus/internal/perfmodel"
 	"janus/internal/platform"
+	"janus/internal/profile"
 	"janus/internal/synth"
+	"janus/internal/workflow"
 )
 
 // diamond is OD fanning into a parallel (QA, TS) stage and joining into
 // ICO: the canonical series-parallel shape.
-func diamond() *Workflow {
-	return &Workflow{
-		Name: "diamond",
-		SLO:  3500 * time.Millisecond,
-		Stages: []Stage{
-			{Functions: []string{"od"}},
-			{Functions: []string{"qa", "ts"}},
-			{Functions: []string{"ico"}},
-		},
+func diamond(t *testing.T) *workflow.Workflow {
+	t.Helper()
+	w, err := workflow.NewSeriesParallel("diamond", 3500*time.Millisecond, [][]string{{"od"}, {"qa", "ts"}, {"ico"}})
+	if err != nil {
+		t.Fatal(err)
 	}
+	return w
 }
 
-func testConfig(t *testing.T) ProfilerConfig {
+func testColocation(t *testing.T) *interfere.CountSampler {
 	t.Helper()
 	coloc, err := interfere.NewCountSampler([]float64{0.6, 0.3, 0.1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return ProfilerConfig{
-		Functions:        perfmodel.Catalog(),
-		Colocation:       coloc,
-		Interference:     interfere.Default(),
-		SamplesPerConfig: 1000,
-		Seed:             3,
+	return coloc
+}
+
+func testProfiler(t *testing.T) *profile.Profiler {
+	t.Helper()
+	p, err := profile.NewProfiler(perfmodel.Catalog(), testColocation(t), interfere.Default(), 3)
+	if err != nil {
+		t.Fatal(err)
 	}
+	p.SamplesPerConfig = 1000
+	return p
+}
+
+// group is a decision group of the given functions, step names defaulting
+// to the function names.
+func group(functions ...string) workflow.Group {
+	g := workflow.Group{}
+	for _, f := range functions {
+		g.Nodes = append(g.Nodes, workflow.Node{Name: f, Function: f})
+	}
+	return g
 }
 
 func TestValidate(t *testing.T) {
-	bad := []*Workflow{
-		{Name: "", SLO: time.Second, Stages: []Stage{{Functions: []string{"od"}}}},
-		{Name: "x", SLO: 0, Stages: []Stage{{Functions: []string{"od"}}}},
-		{Name: "x", SLO: time.Second},
-		{Name: "x", SLO: time.Second, Stages: []Stage{{}}},
-		{Name: "x", SLO: time.Second, Stages: []Stage{{Functions: []string{""}}}},
+	bad := []struct {
+		name   string
+		slo    time.Duration
+		stages [][]string
+	}{
+		{"", time.Second, [][]string{{"od"}}},
+		{"x", 0, [][]string{{"od"}}},
+		{"x", time.Second, nil},
+		{"x", time.Second, [][]string{{}}},
+		{"x", time.Second, [][]string{{""}}},
 	}
-	for i, w := range bad {
-		if err := w.Validate(); err == nil {
+	for i, b := range bad {
+		if _, err := workflow.NewSeriesParallel(b.name, b.slo, b.stages); err == nil {
 			t.Errorf("bad workflow %d accepted", i)
 		}
 	}
-	if err := diamond().Validate(); err != nil {
-		t.Fatal(err)
+	if !diamond(t).IsSeriesParallel() {
+		t.Fatal("diamond is not series-parallel")
 	}
 }
 
 func TestProfileStageCompositeDominatesBranches(t *testing.T) {
-	cfg := testConfig(t)
-	composite, err := ProfileStage(Stage{Functions: []string{"qa", "ts"}}, cfg)
+	p := testProfiler(t)
+	composite, err := p.ProfileGroup(group("qa", "ts"), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	qa, err := ProfileStage(Stage{Functions: []string{"qa"}}, cfg)
+	qa, err := p.ProfileGroup(group("qa"), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts, err := ProfileStage(Stage{Functions: []string{"ts"}}, cfg)
+	ts, err := p.ProfileGroup(group("ts"), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,12 +102,12 @@ func TestProfileStageCompositeDominatesBranches(t *testing.T) {
 	// tolerance appropriate to each percentile: tight at the median, loose
 	// at the tail.
 	tolerance := map[int]float64{50: 0.97, 99: 0.85}
-	for _, p := range []int{50, 99} {
+	for _, pct := range []int{50, 99} {
 		for _, k := range []int{1000, 2000, 3000} {
-			floor := float64(max(qa.LMs(p, k), ts.LMs(p, k))) * tolerance[p]
-			if float64(composite.LMs(p, k)) < floor {
+			floor := float64(max(qa.LMs(pct, k), ts.LMs(pct, k))) * tolerance[pct]
+			if float64(composite.LMs(pct, k)) < floor {
 				t.Errorf("composite L(%d,%d)=%d below dominated floor %.0f (qa %d, ts %d)",
-					p, k, composite.LMs(p, k), floor, qa.LMs(p, k), ts.LMs(p, k))
+					pct, k, composite.LMs(pct, k), floor, qa.LMs(pct, k), ts.LMs(pct, k))
 			}
 		}
 	}
@@ -96,24 +117,20 @@ func TestProfileStageCompositeDominatesBranches(t *testing.T) {
 }
 
 func TestProfileStageValidation(t *testing.T) {
-	cfg := testConfig(t)
-	if _, err := ProfileStage(Stage{Functions: []string{"nope"}}, cfg); err == nil {
+	p := testProfiler(t)
+	if _, err := p.ProfileGroup(group("nope"), 1); err == nil {
 		t.Error("unknown function accepted")
 	}
-	cfg2 := testConfig(t)
-	cfg2.Batch = 2
-	if _, err := ProfileStage(Stage{Functions: []string{"fe"}}, cfg2); err == nil {
+	if _, err := p.ProfileGroup(group("fe"), 2); err == nil {
 		t.Error("unsupported batch accepted")
 	}
-	cfg3 := testConfig(t)
-	cfg3.Colocation = nil
-	if _, err := ProfileStage(Stage{Functions: []string{"od"}}, cfg3); err == nil {
+	if _, err := profile.NewProfiler(perfmodel.Catalog(), nil, interfere.Default(), 3); err == nil {
 		t.Error("missing colocation accepted")
 	}
 }
 
 func TestReduceBuildsEffectiveChain(t *testing.T) {
-	set, err := Reduce(diamond(), testConfig(t))
+	set, err := testProfiler(t).ProfileWorkflow(diamond(t), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +140,7 @@ func TestReduceBuildsEffectiveChain(t *testing.T) {
 	// The set's workflow is the fork-join DAG itself; the per-group
 	// profiles form the effective chain the synthesizer consumes.
 	if set.Workflow.IsChain() || !set.Workflow.IsSeriesParallel() {
-		t.Fatal("reduction should keep the fork-join DAG")
+		t.Fatal("profiling should keep the fork-join DAG")
 	}
 	if got := len(set.Groups()); got != 3 {
 		t.Fatalf("workflow has %d decision groups", got)
@@ -137,103 +154,6 @@ func TestReduceBuildsEffectiveChain(t *testing.T) {
 	}
 }
 
-// TestSeriesParallelEndToEnd deploys the diamond under Janus via the
-// reduction and serves it: the SLO must hold and runtime adaptation must
-// beat worst-case (all-stage P99 at the effective chain) sizing.
-func TestSeriesParallelEndToEnd(t *testing.T) {
-	w := diamond()
-	cfg := testConfig(t)
-	set, err := Reduce(w, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dep, err := core.DeployProfiled(set, core.Options{
-		Functions:           cfg.Functions,
-		Colocation:          cfg.Colocation,
-		Interference:        cfg.Interference,
-		Seed:                5,
-		Mode:                synth.ModeJanus,
-		BudgetStepMs:        10,
-		DisableRegeneration: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ivs, err := Serve(w, dep.Adapter, cfg, 400, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := ViolationRate(ivs, w.SLO); got > 0.02 {
-		t.Fatalf("violation rate %.3f", got)
-	}
-	janusMC := MeanMillicores(ivs)
-
-	// Early binding on the effective chain: every stage at its P99 plan
-	// for the SLO (the minimal P99-feasible fixed plan), branches included.
-	sloMs := int(w.SLO / time.Millisecond)
-	bestFixed := -1
-	levels := set.At(0).Grid.Levels()
-	for _, k0 := range levels {
-		for _, k1 := range levels {
-			for _, k2 := range levels {
-				total := set.At(0).LMs(99, k0) + set.At(1).LMs(99, k1) + set.At(2).LMs(99, k2)
-				if total > sloMs {
-					continue
-				}
-				cores := k0*w.Branches(0) + k1*w.Branches(1) + k2*w.Branches(2)
-				if bestFixed < 0 || cores < bestFixed {
-					bestFixed = cores
-				}
-			}
-		}
-	}
-	if bestFixed < 0 {
-		t.Fatal("no feasible early-binding plan; calibration broke")
-	}
-	if janusMC >= float64(bestFixed) {
-		t.Fatalf("janus (%.0f mc) not below early binding (%d mc) on the diamond", janusMC, bestFixed)
-	}
-	// Misses stay within the supervisor's comfort zone.
-	misses := 0
-	for _, iv := range ivs {
-		misses += iv.Misses
-	}
-	if rate := float64(misses) / float64(3*len(ivs)); rate > 0.03 {
-		t.Fatalf("miss rate %.3f", rate)
-	}
-}
-
-func TestServeValidation(t *testing.T) {
-	w := diamond()
-	cfg := testConfig(t)
-	if _, err := Serve(w, nil, cfg, 10, 1); err == nil {
-		t.Error("nil adapter accepted")
-	}
-	set, err := Reduce(w, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dep, err := core.DeployProfiled(set, core.Options{
-		Functions:           cfg.Functions,
-		Colocation:          cfg.Colocation,
-		Interference:        cfg.Interference,
-		BudgetStepMs:        25,
-		DisableRegeneration: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Serve(w, dep.Adapter, cfg, 0, 1); err == nil {
-		t.Error("n=0 accepted")
-	}
-	// A bundle with the wrong stage count is rejected.
-	short := &Workflow{Name: "short", SLO: w.SLO, Stages: w.Stages[:2]}
-	if _, err := Serve(short, dep.Adapter, cfg, 10, 1); err == nil {
-		t.Error("stage-count mismatch accepted")
-	}
-	var _ *adapter.Adapter = dep.Adapter
-}
-
 // TestVideoAnalyzeSPOnClusterSubstrate is the acceptance test for serving
 // series-parallel workflows on the real serving plane: the SP Video Analyze
 // application runs end-to-end through platform.Executor under Janus and an
@@ -241,16 +161,16 @@ func TestServeValidation(t *testing.T) {
 // co-location interference all exercised, and results reproducible byte for
 // byte.
 func TestVideoAnalyzeSPOnClusterSubstrate(t *testing.T) {
-	w := VideoAnalyze()
-	cfg := testConfig(t)
-	set, err := Reduce(w, cfg)
+	w := workflow.VideoAnalyzeSP()
+	coloc := testColocation(t)
+	set, err := testProfiler(t).ProfileWorkflow(w, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	dep, err := core.DeployProfiled(set, core.Options{
-		Functions:           cfg.Functions,
-		Colocation:          cfg.Colocation,
-		Interference:        cfg.Interference,
+		Functions:           perfmodel.Catalog(),
+		Colocation:          coloc,
+		Interference:        interfere.Default(),
 		Seed:                5,
 		Mode:                synth.ModeJanus,
 		BudgetStepMs:        10,
@@ -259,7 +179,21 @@ func TestVideoAnalyzeSPOnClusterSubstrate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gsp, err := baseline.GrandSLAMPlus(set, w.SLO)
+	gsp, err := baseline.GrandSLAMPlus(set, w.SLO())
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 150
+	reqs, err := platform.GenerateWorkload(platform.WorkloadConfig{
+		Workflow:          w,
+		Functions:         perfmodel.Catalog(),
+		N:                 n,
+		Batch:             1,
+		ArrivalRatePerSec: 6,
+		Colocation:        coloc,
+		Interference:      interfere.Default(),
+		Seed:              9,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,23 +202,22 @@ func TestVideoAnalyzeSPOnClusterSubstrate(t *testing.T) {
 	ecfg := platform.DefaultExecutorConfig()
 	ecfg.Cluster = cluster.Config{Nodes: 1, NodeMillicores: 9000, PoolSize: 1, IdleMillicores: 100}
 	ecfg.LiveInterference = true
-	ecfg.Interference = cfg.Interference
+	ecfg.Interference = interfere.Default()
 	ecfg.Seed = 7
-	ex, err := platform.NewExecutor(ecfg, cfg.Functions)
+	ex, err := platform.NewExecutor(ecfg, perfmodel.Catalog())
 	if err != nil {
 		t.Fatal(err)
 	}
-	sc := ServeConfig{N: 150, Seed: 9, ArrivalRatePerSec: 6, Executor: ex}
 	for _, alloc := range []platform.Allocator{dep.Allocator("janus"), gsp} {
-		a, err := ServeTraces(w, alloc, cfg, sc)
+		a, err := ex.Run(reqs, alloc)
 		if err != nil {
 			t.Fatalf("%s: %v", alloc.Name(), err)
 		}
-		b, err := ServeTraces(w, alloc, cfg, sc)
+		b, err := ex.Run(reqs, alloc)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(a) != sc.N {
+		if len(a) != n {
 			t.Fatalf("%s: %d traces", alloc.Name(), len(a))
 		}
 		cold, parked := 0, 0
@@ -321,87 +254,62 @@ func TestVideoAnalyzeSPOnClusterSubstrate(t *testing.T) {
 	}
 }
 
-func TestServeInheritsQueueingFromTheSubstrate(t *testing.T) {
-	// The same workload on an uncongested vs. a cramped cluster: the
-	// cramped plane must show strictly higher end-to-end latency — the
-	// queueing the old sequential-loop Serve could never produce.
-	w := diamond()
-	cfg := testConfig(t)
-	set, err := Reduce(w, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gsp, err := baseline.GrandSLAMPlus(set, w.SLO)
-	if err != nil {
-		t.Fatal(err)
-	}
-	serveOn := func(nodeMC int) []platform.Trace {
-		ecfg := platform.DefaultExecutorConfig()
-		ecfg.Cluster = cluster.Config{Nodes: 1, NodeMillicores: nodeMC, PoolSize: 2, IdleMillicores: 100}
-		ex, err := platform.NewExecutor(ecfg, cfg.Functions)
-		if err != nil {
-			t.Fatal(err)
-		}
-		traces, err := ServeTraces(w, gsp, cfg, ServeConfig{N: 120, Seed: 11, ArrivalRatePerSec: 6, Executor: ex})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return traces
-	}
-	roomy := platform.E2ESample(serveOn(52000))
-	cramped := platform.E2ESample(serveOn(10000))
-	if cramped.Mean() <= roomy.Mean() {
-		t.Fatalf("cramped cluster mean e2e %.1fms not above roomy %.1fms", cramped.Mean(), roomy.Mean())
-	}
-}
-
+// TestWorkflowDAGRoundTrip checks that a fork-join workflow survives its
+// round trips: the DAG decomposes back into the stages it was built from,
+// and its wire spec rebuilds the same fork-join workflow.
 func TestWorkflowDAGRoundTrip(t *testing.T) {
-	w := diamond()
-	dag, err := w.DAG()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dag.IsChain() {
+	w := diamond(t)
+	if w.IsChain() {
 		t.Fatal("diamond DAG reported as chain")
 	}
-	back, err := FromDAG(dag)
+	want := [][]string{{"od"}, {"qa", "ts"}, {"ico"}}
+	stages, err := w.SeriesParallel()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(back.Stages) != len(w.Stages) || back.SLO != w.SLO || back.Name != w.Name {
-		t.Fatalf("round trip lost shape: %+v", back)
+	if len(stages) != len(want) {
+		t.Fatalf("round trip lost shape: %d stages, want %d", len(stages), len(want))
 	}
-	for i := range w.Stages {
-		if len(back.Stages[i].Functions) != len(w.Stages[i].Functions) {
+	for i := range want {
+		if len(stages[i]) != len(want[i]) {
 			t.Fatalf("stage %d branch count changed", i)
 		}
+		for b, n := range stages[i] {
+			if n.Function != want[i][b] {
+				t.Fatalf("stage %d branch %d is %q, want %q", i, b, n.Function, want[i][b])
+			}
+		}
 	}
-	if VideoAnalyze().Validate() != nil {
-		t.Fatal("catalog VA-SP invalid")
-	}
-	if _, err := VideoAnalyze().DAG(); err != nil {
+	spec := w.ToSpec()
+	back, err := spec.Build()
+	if err != nil {
 		t.Fatal(err)
+	}
+	if back.Name() != w.Name() || back.SLO() != w.SLO() || back.Len() != w.Len() || !back.IsSeriesParallel() {
+		t.Fatalf("spec round trip lost shape: %s/%v, %d nodes", back.Name(), back.SLO(), back.Len())
+	}
+	if len(back.DecisionGroups()) != len(want) {
+		t.Fatalf("spec round trip has %d decision groups, want %d", len(back.DecisionGroups()), len(want))
+	}
+	if !workflow.VideoAnalyzeSP().IsSeriesParallel() {
+		t.Fatal("catalog VA-SP is not series-parallel")
 	}
 }
 
 // TestSingleStageForkDAG is the regression test for the disconnected-node
-// validation: a one-stage parallel workflow (a pure fork-join map)
-// converts to a DAG with multiple nodes and zero edges, which must stay
-// valid — all members form one decision group and join at completion.
+// validation: a one-stage parallel workflow (a pure fork-join map) is a
+// DAG with multiple nodes and zero edges, which must stay valid — all
+// members form one decision group and join at completion.
 func TestSingleStageForkDAG(t *testing.T) {
-	w := &Workflow{Name: "map", SLO: 2 * time.Second, Stages: []Stage{{Functions: []string{"qa", "ts"}}}}
-	if err := w.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	dag, err := w.DAG()
+	w, err := workflow.NewSeriesParallel("map", 2*time.Second, [][]string{{"qa", "ts"}})
 	if err != nil {
 		t.Fatalf("single-stage fork rejected: %v", err)
 	}
-	groups := dag.DecisionGroups()
+	groups := w.DecisionGroups()
 	if len(groups) != 1 || len(groups[0].Nodes) != 2 {
 		t.Fatalf("fork groups = %+v", groups)
 	}
-	if _, err := Reduce(w, testConfig(t)); err != nil {
-		t.Fatalf("single-stage fork reduction failed: %v", err)
+	if _, err := testProfiler(t).ProfileWorkflow(w, 1); err != nil {
+		t.Fatalf("single-stage fork profiling failed: %v", err)
 	}
 }

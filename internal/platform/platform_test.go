@@ -765,6 +765,38 @@ func TestSeriesParallelColdStartsAndParkingDeterministic(t *testing.T) {
 	}
 }
 
+// TestSeriesParallelInheritsQueueing serves the same diamond workload on a
+// roomy and on a cramped cluster: the cramped plane must park branch
+// acquisitions and show strictly higher mean end-to-end latency — the
+// queueing a sequential replay loop could never produce.
+func TestSeriesParallelInheritsQueueing(t *testing.T) {
+	reqs := spWorkload(t, diamondSP(t), 120)
+	serveOn := func(nodeMC int) []Trace {
+		cfg := DefaultExecutorConfig()
+		cfg.Cluster = cluster.Config{Nodes: 1, NodeMillicores: nodeMC, PoolSize: 2, IdleMillicores: 100}
+		e, err := NewExecutor(cfg, perfmodel.Catalog())
+		if err != nil {
+			t.Fatal(err)
+		}
+		traces, err := e.Run(reqs, &Fixed{System: "fixed", Sizes: []int{2000, 2000, 2000}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return traces
+	}
+	roomy, cramped := serveOn(52000), serveOn(10000)
+	parked := 0
+	for i := range cramped {
+		parked += cramped[i].Parked
+	}
+	if parked == 0 {
+		t.Fatal("cramped cluster produced no parking")
+	}
+	if c, r := E2ESample(cramped).Mean(), E2ESample(roomy).Mean(); c <= r {
+		t.Fatalf("cramped cluster mean e2e %.1fms not above roomy %.1fms", c, r)
+	}
+}
+
 // crossDAG is the smallest genuinely non-series-parallel shape on catalog
 // functions: pre fans out to detect and classify, detect additionally
 // feeds ocr, and fuse joins all three (in-degree 3). Decision groups:

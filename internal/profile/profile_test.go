@@ -308,12 +308,25 @@ func TestProfileWorkflowNonChain(t *testing.T) {
 	if set.At(0).Function != "od" || set.At(1).Function != "par(2)+qa+ts" {
 		t.Fatalf("group profiles = %q, %q", set.At(0).Function, set.At(1).Function)
 	}
-	qa, err := p.ProfileFunction("qa", 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if comp, solo := set.At(1).LMs(99, 1000), qa.LMs(99, 1000); comp < solo {
-		t.Fatalf("composite P99 %dms below member P99 %dms", comp, solo)
+	// max(qa, ts) stochastically dominates each member. The estimates come
+	// from independent Monte-Carlo paths, so compare with the sampling
+	// tolerance appropriate to each percentile: tight at the median, loose
+	// at the tail.
+	tolerance := map[int]float64{50: 0.97, 99: 0.85}
+	comp := set.At(1)
+	for _, fn := range []string{"qa", "ts"} {
+		solo, err := p.ProfileFunction(fn, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, pct := range []int{50, 99} {
+			for _, k := range []int{1000, 2000, 3000} {
+				floor := float64(solo.LMs(pct, k)) * tolerance[pct]
+				if float64(comp.LMs(pct, k)) < floor {
+					t.Errorf("composite L(%d,%d)=%dms below %s floor %.0fms", pct, k, comp.LMs(pct, k), fn, floor)
+				}
+			}
+		}
 	}
 	// The composite retains no raw samples (the ORION gate).
 	if set.At(1).Sample(1000) != nil {

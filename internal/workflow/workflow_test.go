@@ -211,6 +211,18 @@ func TestCatalogWorkflows(t *testing.T) {
 			t.Errorf("%s: not a 3-function chain", w.Name())
 		}
 	}
+	sp := VideoAnalyzeSP()
+	if sp.Name() != "va-sp" || sp.SLO() != 1100*time.Millisecond {
+		t.Errorf("VA-SP = %s/%v, want va-sp/1.1s", sp.Name(), sp.SLO())
+	}
+	stages, err := sp.SeriesParallel()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(stages) != 2 || len(stages[0]) != 1 || len(stages[1]) != 2 ||
+		stages[0][0].Function != "fe" || stages[1][0].Function != "icl" || stages[1][1].Function != "ico" {
+		t.Errorf("VA-SP stages = %v, want [fe] [icl ico]", stages)
+	}
 }
 
 func TestNewChainEmpty(t *testing.T) {
@@ -269,6 +281,12 @@ func TestNewSeriesParallelValidation(t *testing.T) {
 	}
 	if _, err := NewSeriesParallel("x", 0, [][]string{{"od"}}); err == nil {
 		t.Error("zero SLO accepted")
+	}
+	if _, err := NewSeriesParallel("", time.Second, [][]string{{"od"}}); err == nil {
+		t.Error("unnamed workflow accepted")
+	}
+	if _, err := NewSeriesParallel("x", time.Second, [][]string{{"od"}, {"qa", ""}}); err == nil {
+		t.Error("unnamed branch function accepted")
 	}
 }
 

@@ -48,7 +48,6 @@ import (
 	"janus/internal/hints"
 	"janus/internal/httpapi"
 	"janus/internal/interfere"
-	"janus/internal/parallel"
 	"janus/internal/perfmodel"
 	"janus/internal/platform"
 	"janus/internal/profile"
@@ -65,7 +64,10 @@ type Workflow = workflow.Workflow
 // WorkflowNode is one step of a workflow.
 type WorkflowNode = workflow.Node
 
-// NewWorkflow builds and validates a workflow DAG.
+// NewWorkflow builds and validates a workflow DAG: nodes are function
+// invocations, edges are data dependencies, and any acyclic shape —
+// partial joins, cross edges, multiple sinks — serves on the
+// node-granular engine.
 func NewWorkflow(name string, slo time.Duration, nodes []WorkflowNode, edges [][2]string) (*Workflow, error) {
 	return workflow.New(name, slo, nodes, edges)
 }
@@ -398,59 +400,6 @@ type CatalogRegistry = catalog.Registry
 // adapter it creates.
 func NewCatalogRegistry(opts ...AdapterOption) *CatalogRegistry { return catalog.NewRegistry(opts...) }
 
-// Series-parallel workflows (the paper's future-work extension): hints
-// come from reducing the fan-out/join application to an effective chain
-// the unmodified synthesizer consumes; serving runs the fork-join DAG on
-// the same discrete-event cluster substrate as the chain experiments, so
-// every branch pays warm-pool specialization or cold starts and queues on
-// exhausted capacity, and joins wait for the slowest branch.
-
-// SPWorkflow is a series-parallel application: stages in sequence, with
-// the functions inside a stage running concurrently until a join.
-type SPWorkflow = parallel.Workflow
-
-// SPStage is one stage of an SPWorkflow.
-type SPStage = parallel.Stage
-
-// SPProfilerConfig parameterizes composite-stage profiling.
-type SPProfilerConfig = parallel.ProfilerConfig
-
-// SPInvocation is one served series-parallel request.
-type SPInvocation = parallel.Invocation
-
-// SPServeConfig parameterizes SP serving beyond the profile-time inputs
-// (request count, seed, arrival rate, custom executor).
-type SPServeConfig = parallel.ServeConfig
-
-// VideoAnalyzeSP returns the series-parallel form of the Video Analyze
-// application: frame extraction fanning out to concurrent classification
-// and compression.
-func VideoAnalyzeSP() *SPWorkflow { return parallel.VideoAnalyze() }
-
-// ReduceSP profiles every stage (parallel stages by max-of-branches
-// Monte-Carlo) and returns the effective-chain profile set for
-// DeployProfiled.
-func ReduceSP(w *SPWorkflow, cfg SPProfilerConfig) (*ProfileSet, error) {
-	return parallel.Reduce(w, cfg)
-}
-
-// ServeSP executes n requests of the series-parallel workflow under the
-// adapter's runtime adaptation, on the default serving plane.
-func ServeSP(w *SPWorkflow, a *Adapter, cfg SPProfilerConfig, n int, seed uint64) ([]SPInvocation, error) {
-	return parallel.Serve(w, a, cfg, n, seed)
-}
-
-// ServeSPTraces executes the series-parallel workflow on the serving plane
-// under any allocator and returns full per-branch traces; pass a custom
-// Executor via the config to shrink the cluster, disable warm pools, or
-// enable live interference.
-func ServeSPTraces(w *SPWorkflow, alloc Allocator, cfg SPProfilerConfig, sc SPServeConfig) ([]Trace, error) {
-	return parallel.ServeTraces(w, alloc, cfg, sc)
-}
-
-// SPInvocations summarizes serving-plane traces as SP invocations.
-func SPInvocations(traces []Trace) []SPInvocation { return parallel.Invocations(traces) }
-
 // Arbitrary-DAG workflows (the node-granular engine): serving, profiling,
 // and hints synthesis all operate on decision groups — nodes sharing an
 // identical predecessor set, which become ready together and share one
@@ -463,15 +412,6 @@ func SPInvocations(traces []Trace) []SPInvocation { return parallel.Invocations(
 // WorkflowGroup is one decision group of a workflow DAG (see
 // Workflow.DecisionGroups).
 type WorkflowGroup = workflow.Group
-
-// NewDAGWorkflow builds and validates an arbitrary-DAG workflow: nodes
-// are function invocations, edges are data dependencies, and any acyclic
-// shape — partial joins, cross edges, multiple sinks — serves on the
-// node-granular engine. It is NewWorkflow under the name the DAG serving
-// surface documents.
-func NewDAGWorkflow(name string, slo time.Duration, nodes []WorkflowNode, edges [][2]string) (*Workflow, error) {
-	return workflow.New(name, slo, nodes, edges)
-}
 
 // MLInferenceDAG returns the arbitrary-DAG evaluation scenario: a
 // six-node ML-inference pipeline (preprocess fanning out to detect and
@@ -532,7 +472,7 @@ func EvaluationPoints() ([]ExperimentPoint, error) { return experiment.Evaluatio
 // SPExperimentPoints enumerates the series-parallel scenario grid — the
 // fork-join Video Analyze workload under every scenario system plus the
 // arrival-rate sweep — as runner points.
-func SPExperimentPoints() ([]ExperimentPoint, error) { return experiment.SPPoints() }
+func SPExperimentPoints() []ExperimentPoint { return experiment.SPPoints() }
 
 // Multi-tenant experiments: the IA chain, VA chain, and series-parallel
 // Video Analyze served as one merged arrival stream on a shared
@@ -743,7 +683,7 @@ const (
 
 // NewDynamicWorkflow builds and validates a dynamic workflow: the static
 // DAG skeleton plus dynamic annotations. With no annotations it is
-// exactly NewDAGWorkflow.
+// exactly NewWorkflow.
 func NewDynamicWorkflow(name string, slo time.Duration, nodes []WorkflowNode, edges [][2]string, dynamic []DynamicNode) (*Workflow, error) {
 	return workflow.NewDynamic(name, slo, nodes, edges, dynamic)
 }

@@ -9,64 +9,81 @@ import (
 )
 
 // TestFacadeEndToEnd exercises the public API surface the way README's
-// quickstart does: define, deploy, serve, compare.
+// quickstart does — define, deploy, serve, compare — on the IA-shaped
+// chain and on the od -> {qa, ts} -> ico diamond: a fork-join workflow
+// goes through the same DAG API as a chain.
 func TestFacadeEndToEnd(t *testing.T) {
-	w, err := janus.NewChain("demo", 3*time.Second, "od", "qa", "ts")
-	if err != nil {
-		t.Fatal(err)
-	}
-	coloc, err := janus.NewColocationSampler([]float64{0.6, 0.3, 0.1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	dep, err := janus.Deploy(w, janus.DeployOptions{
-		Functions:        janus.Catalog(),
-		Colocation:       coloc,
-		Interference:     janus.DefaultInterference(),
-		Seed:             3,
-		SamplesPerConfig: 400,
-		BudgetStepMs:     25,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dep.Bundle().Stages() != 3 {
-		t.Fatalf("bundle stages = %d", dep.Bundle().Stages())
-	}
-	reqs, err := janus.GenerateWorkload(janus.WorkloadConfig{
-		Workflow:          w,
-		Functions:         janus.Catalog(),
-		N:                 50,
-		ArrivalRatePerSec: 2,
-		Colocation:        coloc,
-		Interference:      janus.DefaultInterference(),
-		StageCorrelation:  0.5,
-		Seed:              3,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ex, err := janus.NewExecutor(janus.DefaultExecutorConfig(), janus.Catalog())
-	if err != nil {
-		t.Fatal(err)
-	}
-	janusTraces, err := ex.Run(reqs, dep.Allocator("janus"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	early, err := janus.GrandSLAMPlus(dep.Profiles, w.SLO())
-	if err != nil {
-		t.Fatal(err)
-	}
-	earlyTraces, err := ex.Run(reqs, early)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if jm, em := janus.MeanMillicores(janusTraces), janus.MeanMillicores(earlyTraces); jm >= em {
-		t.Fatalf("janus (%.0f) not below early binding (%.0f)", jm, em)
-	}
-	if v := janus.SLOViolationRate(janusTraces); v > 0.05 {
-		t.Fatalf("janus violation rate %.3f", v)
+	for _, tc := range []struct {
+		name  string
+		build func() (*janus.Workflow, error)
+	}{
+		{"chain", func() (*janus.Workflow, error) {
+			return janus.NewChain("demo", 3*time.Second, "od", "qa", "ts")
+		}},
+		{"diamond", func() (*janus.Workflow, error) {
+			return janus.NewSeriesParallelWorkflow("diamond", 3500*time.Millisecond,
+				[][]string{{"od"}, {"qa", "ts"}, {"ico"}})
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			w, err := tc.build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			coloc, err := janus.NewColocationSampler([]float64{0.6, 0.3, 0.1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			dep, err := janus.Deploy(w, janus.DeployOptions{
+				Functions:        janus.Catalog(),
+				Colocation:       coloc,
+				Interference:     janus.DefaultInterference(),
+				Seed:             3,
+				SamplesPerConfig: 400,
+				BudgetStepMs:     25,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, want := dep.Bundle().Stages(), len(w.DecisionGroups()); got != want {
+				t.Fatalf("bundle stages = %d, want one per decision group (%d)", got, want)
+			}
+			reqs, err := janus.GenerateWorkload(janus.WorkloadConfig{
+				Workflow:          w,
+				Functions:         janus.Catalog(),
+				N:                 50,
+				ArrivalRatePerSec: 2,
+				Colocation:        coloc,
+				Interference:      janus.DefaultInterference(),
+				StageCorrelation:  0.5,
+				Seed:              3,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ex, err := janus.NewExecutor(janus.DefaultExecutorConfig(), janus.Catalog())
+			if err != nil {
+				t.Fatal(err)
+			}
+			janusTraces, err := ex.Run(reqs, dep.Allocator("janus"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			early, err := janus.GrandSLAMPlus(dep.Profiles, w.SLO())
+			if err != nil {
+				t.Fatal(err)
+			}
+			earlyTraces, err := ex.Run(reqs, early)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if jm, em := janus.MeanMillicores(janusTraces), janus.MeanMillicores(earlyTraces); jm >= em {
+				t.Fatalf("janus (%.0f) not below early binding (%.0f)", jm, em)
+			}
+			if v := janus.SLOViolationRate(janusTraces); v > 0.05 {
+				t.Fatalf("janus violation rate %.3f", v)
+			}
+		})
 	}
 }
 
