@@ -100,18 +100,7 @@ func DeployProfiled(set *profile.Set, opts Options) (*Deployment, error) {
 	if opts.Batch != set.Batch {
 		return nil, fmt.Errorf("core: options batch %d does not match profiled batch %d", opts.Batch, set.Batch)
 	}
-	s, err := synth.New(synth.Config{
-		Profiles:         set,
-		Weight:           opts.Weight,
-		Mode:             opts.Mode,
-		BudgetStepMs:     opts.BudgetStepMs,
-		BudgetOverrideMs: opts.BudgetOverrideMs,
-		Parallelism:      opts.Parallelism,
-	})
-	if err != nil {
-		return nil, err
-	}
-	res, err := s.GenerateBundle()
+	res, err := synthesize(set, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -135,6 +124,23 @@ func DeployProfiled(set *profile.Set, opts Options) (*Deployment, error) {
 	}
 	d.Adapter = a
 	return d, nil
+}
+
+// synthesize generates the hints bundle for a profile set under the
+// synthesis settings in opts (DeployProfiled and regenerate share it).
+func synthesize(set *profile.Set, opts Options) (*synth.Result, error) {
+	s, err := synth.New(synth.Config{
+		Profiles:         set,
+		Weight:           opts.Weight,
+		Mode:             opts.Mode,
+		BudgetStepMs:     opts.BudgetStepMs,
+		BudgetOverrideMs: opts.BudgetOverrideMs,
+		Parallelism:      opts.Parallelism,
+	})
+	if err != nil {
+		return nil, err
+	}
+	return s.GenerateBundle()
 }
 
 func newProfiler(opts Options) (*profile.Profiler, error) {
@@ -172,18 +178,7 @@ func (d *Deployment) regenerate() {
 	if err != nil {
 		return
 	}
-	s, err := synth.New(synth.Config{
-		Profiles:         set,
-		Weight:           opts.Weight,
-		Mode:             opts.Mode,
-		BudgetStepMs:     opts.BudgetStepMs,
-		BudgetOverrideMs: opts.BudgetOverrideMs,
-		Parallelism:      opts.Parallelism,
-	})
-	if err != nil {
-		return
-	}
-	res, err := s.GenerateBundle()
+	res, err := synthesize(set, opts)
 	if err != nil {
 		return
 	}

@@ -201,14 +201,13 @@ type Fig6Row struct {
 // while Janus+'s two-dimensional percentile exploration costs orders of
 // magnitude more. The result is cached: at paper scale the Janus+ sweeps
 // are by far the suite's most expensive computation, and both Fig 6a and
-// Fig 6b consume it.
+// Fig 6b consume it; concurrent callers share one sweep.
 func (s *Suite) Fig6() ([]Fig6Row, error) {
-	s.mu.Lock()
-	cached := s.fig6
-	s.mu.Unlock()
-	if cached != nil {
-		return cached, nil
-	}
+	return cached(s, "fig6", s.sweepFig6)
+}
+
+// sweepFig6 computes Fig6's rows.
+func (s *Suite) sweepFig6() ([]Fig6Row, error) {
 	var out []Fig6Row
 	base := workflow.IntelligentAssistant()
 	set, err := s.Profiles(base, 1)
@@ -266,9 +265,6 @@ func (s *Suite) Fig6() ([]Fig6Row, error) {
 		}
 		out = append(out, row)
 	}
-	s.mu.Lock()
-	s.fig6 = out
-	s.mu.Unlock()
 	return out, nil
 }
 

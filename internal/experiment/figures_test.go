@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -190,9 +191,28 @@ func TestFig5bHigherConcurrencyOverAllocation(t *testing.T) {
 
 func TestFig6JanusPlusCostsMore(t *testing.T) {
 	s := quickSuite(t)
-	rows, err := s.Fig6()
-	if err != nil {
-		t.Fatal(err)
+	// Two concurrent callers share one sweep: both get the same rows.
+	var (
+		wg   sync.WaitGroup
+		got  [2][]Fig6Row
+		errs [2]error
+	)
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i], errs[i] = s.Fig6()
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	rows := got[0]
+	if len(rows) == 0 || len(got[1]) == 0 || &rows[0] != &got[1][0] {
+		t.Fatal("concurrent Fig6 calls ran separate sweeps")
 	}
 	if len(rows) != 5 {
 		t.Fatalf("%d rows", len(rows))

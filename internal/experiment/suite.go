@@ -4,10 +4,11 @@
 // exposes them on the command line and the repository-root benchmarks run
 // them under `go test -bench`.
 //
-// All drivers hang off a Suite, which caches the expensive shared
-// artifacts — function profiles and Janus deployments — so that sweeps
-// (SLOs, weights, concurrency) reuse them exactly as a real developer
-// would.
+// All drivers hang off a Suite, which memoizes every expensive artifact —
+// function profiles, Janus deployments, workloads, serving runs — in one
+// keyed store, so that sweeps (SLOs, weights, concurrency) reuse them
+// exactly as a real developer reuses the offline profile → synthesize
+// output.
 package experiment
 
 import (
@@ -108,43 +109,55 @@ func QuickSuite() *Suite {
 // NewSuiteWith builds a suite from an explicit config.
 func NewSuiteWith(cfg Config) *Suite {
 	return &Suite{
-		cfg:         cfg,
-		functions:   perfmodel.Catalog(),
-		interf:      interfere.Default(),
-		profiles:    make(map[string]*profile.Set),
-		deployments: make(map[string]*core.Deployment),
-		workloads:   make(map[string][]*platform.Request),
-		runs:        make(map[string]*SystemRun),
-		mixed:       make(map[string]*MixRun),
-		replays:     make(map[string]*ReplayRun),
-		triggerRuns: make(map[string]*TriggerRun),
+		cfg:       cfg,
+		functions: perfmodel.Catalog(),
+		interf:    interfere.Default(),
 	}
 }
 
 // Suite carries shared state across experiment drivers. All methods are
-// safe for concurrent use: caches are filled through a singleflight group
-// so parallel workers needing the same artifact compute it exactly once.
+// safe for concurrent use. Every cached artifact lives in one memo under a
+// kind-prefixed key and is filled through cached, so parallel workers
+// needing the same artifact compute it exactly once.
 type Suite struct {
 	cfg       Config
 	functions map[string]*perfmodel.Function
 	interf    *interfere.Model
 
-	// flights deduplicates concurrent fills of the caches below.
-	flights flight.Group
+	memo    sync.Map     // key → artifact; written only by cached
+	flights flight.Group // deduplicates concurrent fills of one memo key
 
-	mu          sync.Mutex
-	parallel    int        // runtime override of cfg.Parallelism (SetParallelism)
-	obsTracer   obs.Tracer // event sink attached to replay serving runs (SetTracer)
-	obsMetrics  *obs.Registry
-	exTemplate  *platform.Executor
-	profiles    map[string]*profile.Set
-	deployments map[string]*core.Deployment
-	workloads   map[string][]*platform.Request
-	runs        map[string]*SystemRun
-	mixed       map[string]*MixRun
-	replays     map[string]*ReplayRun
-	triggerRuns map[string]*TriggerRun
-	fig6        []Fig6Row
+	mu         sync.Mutex
+	parallel   int        // runtime override of cfg.Parallelism (SetParallelism)
+	obsTracer  obs.Tracer // event sink attached to replay serving runs (SetTracer)
+	obsMetrics *obs.Registry
+}
+
+// cached returns the memoized artifact under key, filling it with fn on a
+// miss. Concurrent callers missing the same key share one fill; a failed
+// fill is not stored, so the next call retries. Keys start with their
+// artifact kind ("profiles/", "deployment/", "workload/", "run/", "mix/",
+// "replay/", "trigger/", "executor", "fig6") so one store holds them all.
+func cached[T any](s *Suite, key string, fn func() (T, error)) (T, error) {
+	if v, ok := s.memo.Load(key); ok {
+		return v.(T), nil
+	}
+	v, err := s.flights.Do(key, func() (any, error) {
+		if v, ok := s.memo.Load(key); ok {
+			return v, nil
+		}
+		v, err := fn()
+		if err != nil {
+			return nil, err
+		}
+		s.memo.Store(key, v)
+		return v, nil
+	})
+	if err != nil {
+		var zero T
+		return zero, err
+	}
+	return v.(T), nil
 }
 
 // SetParallelism overrides the suite's point-level parallelism after
@@ -210,32 +223,37 @@ func (s *Suite) parallelism() int {
 	return n
 }
 
-// fanIndexed runs fn(0), ..., fn(n-1) over at most par worker goroutines
-// and waits for all of them — the input-order-preserving fan-out the
-// mixed and replay scenario drivers share (each fn writes its own result
-// slot). Runner.Run keeps its own loop: it adds progress reporting and
-// context cancellation this shape does not need.
-func fanIndexed(n, par int, fn func(i int)) {
-	if par > n {
-		par = n
-	}
+// fanOut applies fn to every input over at most the suite's parallelism
+// worker goroutines and returns the outputs in input order, or the
+// lowest-index error — the determinism-preserving fan-out the mixed,
+// replay, fleetshard and trigger scenario drivers share. Runner.Run keeps
+// its own loop: it adds progress reporting and context cancellation this
+// shape does not need.
+func fanOut[In, Out any](s *Suite, ins []In, fn func(In) (Out, error)) ([]Out, error) {
+	outs := make([]Out, len(ins))
+	errs := make([]error, len(ins))
 	idx := make(chan int)
-	done := make(chan struct{})
-	for w := 0; w < par; w++ {
+	var wg sync.WaitGroup
+	for w := 0; w < min(s.parallelism(), len(ins)); w++ {
+		wg.Add(1)
 		go func() {
+			defer wg.Done()
 			for i := range idx {
-				fn(i)
+				outs[i], errs[i] = fn(ins[i])
 			}
-			done <- struct{}{}
 		}()
 	}
-	for i := 0; i < n; i++ {
+	for i := range ins {
 		idx <- i
 	}
 	close(idx)
-	for w := 0; w < par; w++ {
-		<-done
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
 	}
+	return outs, nil
 }
 
 // colocationFor returns the co-location mix each workflow's pods see: IA
@@ -263,51 +281,27 @@ func (s *Suite) colocationFor(wf string) *interfere.CountSampler {
 // arbitrary-DAG forks alike. Concurrent callers missing the same key
 // share one computation.
 func (s *Suite) Profiles(w *workflow.Workflow, batch int) (*profile.Set, error) {
-	key := fmt.Sprintf("%s/b%d", w.Name(), batch)
-	v, err := s.flights.Do("profiles/"+key, func() (any, error) {
-		s.mu.Lock()
-		set, ok := s.profiles[key]
-		s.mu.Unlock()
-		if ok {
-			return set, nil
-		}
+	return cached(s, fmt.Sprintf("profiles/%s/b%d", w.Name(), batch), func() (*profile.Set, error) {
 		prof, err := profile.NewProfiler(s.functions, s.colocationFor(w.Name()), s.interf, s.cfg.Seed)
 		if err != nil {
 			return nil, err
 		}
 		prof.SamplesPerConfig = s.cfg.ProfilerSamples
-		set2, err := prof.ProfileWorkflow(w, batch)
-		if err != nil {
-			return nil, err
-		}
-		s.mu.Lock()
-		s.profiles[key] = set2
-		s.mu.Unlock()
-		return set2, nil
+		return prof.ProfileWorkflow(w, batch)
 	})
-	if err != nil {
-		return nil, err
-	}
-	return v.(*profile.Set), nil
 }
 
 // Deployment returns a (cached) Janus deployment for a workflow, batch,
 // mode, and weight. Hints tables are keyed by remaining budget, so one
 // deployment serves every SLO in a sweep.
 func (s *Suite) Deployment(w *workflow.Workflow, batch int, mode synth.Mode, weight float64) (*core.Deployment, error) {
-	key := fmt.Sprintf("%s/b%d/%v/w%.2f", w.Name(), batch, mode, weight)
-	v, err := s.flights.Do("deployment/"+key, func() (any, error) {
-		s.mu.Lock()
-		d, ok := s.deployments[key]
-		s.mu.Unlock()
-		if ok {
-			return d, nil
-		}
+	key := fmt.Sprintf("deployment/%s/b%d/%v/w%g", w.Name(), batch, mode, weight)
+	return cached(s, key, func() (*core.Deployment, error) {
 		set, err := s.Profiles(w, batch)
 		if err != nil {
 			return nil, err
 		}
-		d, err = core.DeployProfiled(set, core.Options{
+		return core.DeployProfiled(set, core.Options{
 			Functions:           s.functions,
 			Colocation:          s.colocationFor(w.Name()),
 			Interference:        s.interf,
@@ -318,18 +312,7 @@ func (s *Suite) Deployment(w *workflow.Workflow, batch int, mode synth.Mode, wei
 			BudgetStepMs:        s.cfg.BudgetStepMs,
 			DisableRegeneration: true,
 		})
-		if err != nil {
-			return nil, err
-		}
-		s.mu.Lock()
-		s.deployments[key] = d
-		s.mu.Unlock()
-		return d, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	return v.(*core.Deployment), nil
 }
 
 // Workload returns the (cached) request sequence for a workflow and batch
@@ -348,15 +331,9 @@ func (s *Suite) WorkloadAtRate(w *workflow.Workflow, batch int, rate float64) ([
 	if rate <= 0 {
 		rate = s.cfg.ArrivalRatePerSec
 	}
-	key := fmt.Sprintf("%s/b%d/r%g", w.Name(), batch, rate)
-	v, err := s.flights.Do("workload/"+key, func() (any, error) {
-		s.mu.Lock()
-		reqs, ok := s.workloads[key]
-		s.mu.Unlock()
-		if ok {
-			return reqs, nil
-		}
-		reqs, err := platform.GenerateWorkload(platform.WorkloadConfig{
+	key := fmt.Sprintf("workload/%s/b%d/r%g", w.Name(), batch, rate)
+	return cached(s, key, func() ([]*platform.Request, error) {
+		return platform.GenerateWorkload(platform.WorkloadConfig{
 			Workflow:          w,
 			Functions:         s.functions,
 			N:                 s.cfg.Requests,
@@ -367,41 +344,21 @@ func (s *Suite) WorkloadAtRate(w *workflow.Workflow, batch int, rate float64) ([
 			StageCorrelation:  StageCorrelation,
 			Seed:              s.cfg.Seed,
 		})
-		if err != nil {
-			return nil, err
-		}
-		s.mu.Lock()
-		s.workloads[key] = reqs
-		s.mu.Unlock()
-		return reqs, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	return v.([]*platform.Request), nil
 }
 
 // executor returns a serving plane private to the caller: a clone of the
 // suite's template executor, so every worker goroutine drives its own
 // single-goroutine discrete-event run.
 func (s *Suite) executor() (*platform.Executor, error) {
-	s.mu.Lock()
-	tmpl := s.exTemplate
-	s.mu.Unlock()
-	if tmpl == nil {
+	tmpl, err := cached(s, "executor", func() (*platform.Executor, error) {
 		cfg := platform.DefaultExecutorConfig()
 		cfg.Cluster = cluster.Config{Nodes: 1, NodeMillicores: 52000, PoolSize: suitePoolSize, IdleMillicores: 100}
 		cfg.Seed = s.cfg.Seed
-		ex, err := platform.NewExecutor(cfg, s.functions)
-		if err != nil {
-			return nil, err
-		}
-		s.mu.Lock()
-		if s.exTemplate == nil {
-			s.exTemplate = ex
-		}
-		tmpl = s.exTemplate
-		s.mu.Unlock()
+		return platform.NewExecutor(cfg, s.functions)
+	})
+	if err != nil {
+		return nil, err
 	}
 	return tmpl.Clone(), nil
 }
@@ -482,34 +439,25 @@ func (s *Suite) RunPoints(points []Point) ([]*SystemRun, error) {
 	return r.Run(context.Background(), points)
 }
 
-// runPointOne serves one (workflow, batch, system) point, filling the run
-// cache. Concurrent callers of the same point share one serving run. The
-// context is consulted only before joining the shared fill: once a fill is
-// in flight it runs to completion, so a cancelled caller can never poison
-// waiters from a healthy run with its own context error.
+// runPointOne serves one (workflow, batch, system) point through the suite
+// memo. Concurrent callers of the same point share one serving run. The
+// context is consulted only before joining the shared fill (a memo hit
+// ignores it): once a fill is in flight it runs to completion, so a
+// cancelled caller can never poison waiters from a healthy run with its
+// own context error.
 func (s *Suite) runPointOne(ctx context.Context, p Point) (*SystemRun, error) {
 	w := p.Workflow
 	rate := p.ArrivalRatePerSec
 	if rate <= 0 {
 		rate = s.cfg.ArrivalRatePerSec
 	}
-	key := fmt.Sprintf("%s/%v/b%d/r%g/%s", w.Name(), w.SLO(), p.Batch, rate, p.System)
-	s.mu.Lock()
-	run, ok := s.runs[key]
-	s.mu.Unlock()
-	if ok {
-		return run, nil
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	v, err := s.flights.Do("run/"+key, func() (any, error) {
-		s.mu.Lock()
-		run, ok := s.runs[key]
-		s.mu.Unlock()
-		if ok {
-			return run, nil
+	key := fmt.Sprintf("run/%s/%v/b%d/r%g/%s", w.Name(), w.SLO(), p.Batch, rate, p.System)
+	if _, ok := s.memo.Load(key); !ok {
+		if err := ctx.Err(); err != nil {
+			return nil, err
 		}
+	}
+	return cached(s, key, func() (*SystemRun, error) {
 		reqs, err := s.WorkloadAtRate(w, p.Batch, rate)
 		if err != nil {
 			return nil, err
@@ -534,7 +482,7 @@ func (s *Suite) runPointOne(ctx context.Context, p Point) (*SystemRun, error) {
 			return nil, fmt.Errorf("experiment: serving %s on %s: %w", p.System, w.Name(), err)
 		}
 		e2e := platform.E2ESample(traces)
-		run = &SystemRun{
+		return &SystemRun{
 			System:         p.System,
 			Traces:         traces,
 			MeanMillicores: platform.MeanMillicores(traces),
@@ -543,14 +491,6 @@ func (s *Suite) runPointOne(ctx context.Context, p Point) (*SystemRun, error) {
 			ViolationRate:  platform.SLOViolationRate(traces),
 			MissRate:       platform.MissRate(traces),
 			SLO:            w.SLO(),
-		}
-		s.mu.Lock()
-		s.runs[key] = run
-		s.mu.Unlock()
-		return run, nil
+		}, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	return v.(*SystemRun), nil
 }

@@ -4,6 +4,7 @@ import (
 	"sync"
 	"testing"
 
+	"janus/internal/synth"
 	"janus/internal/workflow"
 )
 
@@ -82,6 +83,23 @@ func TestSystemOrderingMatchesPaper(t *testing.T) {
 		// Janus's hints tables must not be missing all the time.
 		if runs[SysJanus].MissRate > 0.05 {
 			t.Errorf("%s: janus miss rate %.3f", wf.Name(), runs[SysJanus].MissRate)
+		}
+	}
+}
+
+// TestDeploymentKeysWeightExactly pins the deployment memo key to the
+// exact head weight: weights that agree to two decimals are still
+// distinct deployments.
+func TestDeploymentKeysWeightExactly(t *testing.T) {
+	s := quickSuite(t)
+	ia := workflow.IntelligentAssistant()
+	for _, weight := range []float64{0.5, 0.504} {
+		d, err := s.Deployment(ia, 1, synth.ModeJanus, weight)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := d.Bundle().Weight; got != weight {
+			t.Errorf("Deployment(weight %g): bundle weight %g", weight, got)
 		}
 	}
 }

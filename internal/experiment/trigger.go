@@ -249,54 +249,13 @@ func (s *Suite) serveTrigger(config string) (*TriggerRun, error) {
 	return run, nil
 }
 
-// runTriggerOne serves one provider configuration, filling the
-// trigger-run cache; concurrent callers share one run (singleflight).
-func (s *Suite) runTriggerOne(config string) (*TriggerRun, error) {
-	key := "trigger/" + config
-	s.mu.Lock()
-	run, ok := s.triggerRuns[key]
-	s.mu.Unlock()
-	if ok {
-		return run, nil
-	}
-	v, err := s.flights.Do("run/"+key, func() (any, error) {
-		s.mu.Lock()
-		run, ok := s.triggerRuns[key]
-		s.mu.Unlock()
-		if ok {
-			return run, nil
-		}
-		run, err := s.serveTrigger(config)
-		if err != nil {
-			return nil, err
-		}
-		s.mu.Lock()
-		s.triggerRuns[key] = run
-		s.mu.Unlock()
-		return run, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return v.(*TriggerRun), nil
-}
-
 // TriggerScenario serves the dynamic stream under both provider
 // configurations (fanned over the suite's worker pool) and returns the
-// runs in TriggerConfigs order.
+// runs in TriggerConfigs order, each memoized per configuration.
 func (s *Suite) TriggerScenario() ([]*TriggerRun, error) {
-	configs := TriggerConfigs()
-	results := make([]*TriggerRun, len(configs))
-	errs := make([]error, len(configs))
-	fanIndexed(len(configs), s.parallelism(), func(i int) {
-		results[i], errs[i] = s.runTriggerOne(configs[i])
+	return fanOut(s, TriggerConfigs(), func(config string) (*TriggerRun, error) {
+		return cached(s, "trigger/"+config, func() (*TriggerRun, error) { return s.serveTrigger(config) })
 	})
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return results, nil
 }
 
 // TriggerPoint describes one trigger scenario run for enumeration
