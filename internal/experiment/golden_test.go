@@ -109,8 +109,14 @@ func TestChainSPGolden(t *testing.T) {
 	}
 	b.WriteString(FormatMixScenario(mix))
 
-	got := b.String()
-	path := filepath.Join("testdata", "golden_chain_sp.txt")
+	checkGolden(t, "golden_chain_sp.txt", b.String(), "chain/SP behavior")
+}
+
+// checkGolden compares got against testdata/<name>, or rewrites the file
+// under -update. what names the locked behavior in the failure message.
+func checkGolden(t *testing.T, name, got, what string) {
+	t.Helper()
+	path := filepath.Join("testdata", name)
 	if *updateGolden {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
@@ -134,9 +140,9 @@ func TestChainSPGolden(t *testing.T) {
 				if i < len(wantLines) {
 					wantLine = wantLines[i]
 				}
-				t.Fatalf("chain/SP behavior drifted from the pre-refactor golden at line %d:\n got: %s\nwant: %s", i+1, gotLines[i], wantLine)
+				t.Fatalf("%s drifted from the golden at line %d:\n got: %s\nwant: %s", what, i+1, gotLines[i], wantLine)
 			}
 		}
-		t.Fatalf("chain/SP behavior drifted from the pre-refactor golden (got %d bytes, want %d)", len(got), len(want))
+		t.Fatalf("%s drifted from the golden (got %d bytes, want %d)", what, len(got), len(want))
 	}
 }
