@@ -73,6 +73,33 @@ func randomSet(t *testing.T, n int, seed uint64) *profile.Set {
 	return set
 }
 
+// minDown enumerates the P99 plans of layers from.. within budget and
+// returns the minimal total cores plus the best resilience at that total.
+func minDown(set *profile.Set, from, budget int) (total, resilience int, ok bool) {
+	levels := synthGrid.Levels()
+	kmax := synthGrid.Max
+	bestTotal, bestRes := -1, -1
+	var enumerate func(j, left, coresSum, resSum int)
+	enumerate = func(j, left, coresSum, resSum int) {
+		if j == set.Len() {
+			if bestTotal < 0 || coresSum < bestTotal || (coresSum == bestTotal && resSum > bestRes) {
+				bestTotal, bestRes = coresSum, resSum
+			}
+			return
+		}
+		fp := set.At(j)
+		for _, k := range levels {
+			l := fp.LMs(99, k)
+			if l > left {
+				continue
+			}
+			enumerate(j+1, left-l, coresSum+k, resSum+(l-fp.LMs(99, kmax)))
+		}
+	}
+	enumerate(from, budget, 0, 0)
+	return bestTotal, bestRes, bestTotal >= 0
+}
+
 // bruteForce solves the Eq. 4-8 program for one budget by enumeration,
 // mirroring Algorithm 1's structure: the downstream functions take the
 // minimum-total-cores P99 plan for the budget the head leaves them (tied
@@ -98,31 +125,6 @@ func bruteForce(set *profile.Set, suffix, tMs int, weight float64) float64 {
 	}
 	head := set.At(suffix)
 
-	// minDown enumerates downstream plans within `budget` and returns the
-	// minimal total cores plus the best resilience at that total.
-	minDown := func(budget int) (total, resilience int, ok bool) {
-		bestTotal, bestRes := -1, -1
-		var enumerate func(j, left, coresSum, resSum int)
-		enumerate = func(j, left, coresSum, resSum int) {
-			if j == set.Len() {
-				if bestTotal < 0 || coresSum < bestTotal || (coresSum == bestTotal && resSum > bestRes) {
-					bestTotal, bestRes = coresSum, resSum
-				}
-				return
-			}
-			fp := set.At(j)
-			for _, k := range levels {
-				l := fp.LMs(99, k)
-				if l > left {
-					continue
-				}
-				enumerate(j+1, left-l, coresSum+k, resSum+(l-fp.LMs(99, kmax)))
-			}
-		}
-		enumerate(suffix+1, budget, 0, 0)
-		return bestTotal, bestRes, bestTotal >= 0
-	}
-
 	best := -1.0
 	for _, p := range synthPercentiles {
 		if head.LMs(p, kmax)+downKmax > tMs {
@@ -133,7 +135,7 @@ func bruteForce(set *profile.Set, suffix, tMs int, weight float64) float64 {
 			if headL > tMs {
 				continue
 			}
-			total, resilience, ok := minDown(tMs - headL)
+			total, resilience, ok := minDown(set, suffix+1, tMs-headL)
 			if !ok || head.TimeoutMs(p, k1) > resilience {
 				continue
 			}
@@ -147,12 +149,66 @@ func bruteForce(set *profile.Set, suffix, tMs int, weight float64) float64 {
 	return best
 }
 
-func TestAlgorithm1MatchesBruteForce(t *testing.T) {
+// bruteForcePlus is bruteForce for Janus+: on cones of three or more
+// layers the next-to-head layer also explores (p2, k2), the layers after
+// it take the minimum-cores P99 plan for what is left, the second's
+// timeout must fit the rest's resilience, and the head's timeout must fit
+// the second's resilience plus the rest's. Shorter cones fall back to
+// Janus. It returns the minimal expected cost, or -1 when infeasible.
+func bruteForcePlus(set *profile.Set, suffix, tMs int, weight float64) float64 {
+	n := set.Len() - suffix
+	if n < 3 {
+		return bruteForce(set, suffix, tMs, weight)
+	}
+	levels := synthGrid.Levels()
+	kmax := synthGrid.Max
+	downKmax := 0
+	for j := suffix + 1; j < set.Len(); j++ {
+		downKmax += set.At(j).LMs(99, kmax)
+	}
+	head, second := set.At(suffix), set.At(suffix+1)
+	best := -1.0
+	for _, p1 := range synthPercentiles {
+		if head.LMs(p1, kmax)+downKmax > tMs {
+			continue // explore_percentile filter
+		}
+		for _, k1 := range levels {
+			for _, p2 := range synthPercentiles {
+				for _, k2 := range levels {
+					restBudget := tMs - head.LMs(p1, k1) - second.LMs(p2, k2)
+					if restBudget < 0 {
+						continue // Eq. 5
+					}
+					rest, restRes, ok := minDown(set, suffix+2, restBudget)
+					if !ok || second.TimeoutMs(p2, k2) > restRes {
+						continue
+					}
+					if head.TimeoutMs(p1, k1) > second.ResilienceMs(p2, k2)+restRes {
+						continue
+					}
+					pf1, pf2 := float64(p1)/100, float64(p2)/100
+					inner := float64(k2) + pf2*float64(rest) + (1-pf2)*float64(n-2)*float64(kmax)
+					cost := weight*float64(k1) + pf1*inner + (1-pf1)*float64(n-1)*float64(kmax)
+					if best < 0 || cost < best {
+						best = cost
+					}
+				}
+			}
+		}
+	}
+	return best
+}
+
+// assertMatchesBruteForce synthesizes random chains of each length in ns
+// under mode and checks every budget of every suffix against want: the
+// same expected cost within 1e-6, and no hint where want is infeasible.
+func assertMatchesBruteForce(t *testing.T, mode Mode, ns []int, want func(set *profile.Set, suffix, tMs int, weight float64) float64) {
+	t.Helper()
 	for seed := uint64(1); seed <= 12; seed++ {
-		for _, n := range []int{2, 3} {
+		for _, n := range ns {
 			set := randomSet(t, n, seed*31+uint64(n))
 			for _, weight := range []float64{1, 2.5} {
-				s, err := New(Config{Profiles: set, Weight: weight, Mode: ModeJanus, BudgetStepMs: 37})
+				s, err := New(Config{Profiles: set, Weight: weight, Mode: mode, BudgetStepMs: 37})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -167,7 +223,7 @@ func TestAlgorithm1MatchesBruteForce(t *testing.T) {
 					}
 					tmin, tmax := set.BudgetRangeMs(suffix)
 					for tMs := tmin; tMs <= tmax; tMs += 37 {
-						want := bruteForce(set, suffix, tMs, weight)
+						want := want(set, suffix, tMs, weight)
 						got, ok := byBudget[tMs]
 						if want < 0 {
 							if ok {
@@ -189,6 +245,17 @@ func TestAlgorithm1MatchesBruteForce(t *testing.T) {
 			}
 		}
 	}
+}
+
+func TestAlgorithm1MatchesBruteForce(t *testing.T) {
+	assertMatchesBruteForce(t, ModeJanus, []int{2, 3}, bruteForce)
+}
+
+// TestJanusPlusMatchesBruteForce extends the equivalence to Janus+'s
+// next-to-head exploration (exploreSecond), on chains long enough for it
+// to engage.
+func TestJanusPlusMatchesBruteForce(t *testing.T) {
+	assertMatchesBruteForce(t, ModeJanusPlus, []int{3, 4}, bruteForcePlus)
 }
 
 // TestAlgorithm1HintsAlwaysFitBudget is the corresponding safety property
