@@ -32,6 +32,7 @@ import (
 	"fmt"
 	"os"
 	"os/exec"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -110,9 +111,18 @@ func TestBenchGuard(t *testing.T) {
 }
 
 // runBenchmarks executes the named benchmarks at the given -benchtime and
-// records their measured allocs/op into got.
+// records their measured allocs/op into got. A sub-benchmark name
+// ("BenchmarkX/Case") runs through its top-level benchmark, which runs
+// every case; got keeps each case under its full name.
 func runBenchmarks(pkg string, names []string, benchtime string, got map[string]int64) error {
-	pattern := "^(" + strings.Join(names, "|") + ")$"
+	var tops []string
+	for _, name := range names {
+		top, _, _ := strings.Cut(name, "/")
+		if !slices.Contains(tops, top) {
+			tops = append(tops, top)
+		}
+	}
+	pattern := "^(" + strings.Join(tops, "|") + ")$"
 	cmd := exec.Command("go", "test", "-run", "^$", "-bench", pattern,
 		"-benchtime", benchtime, "-benchmem", "-timeout", "15m", pkg)
 	var out bytes.Buffer

@@ -2,8 +2,9 @@ package experiment
 
 import (
 	"fmt"
+	"maps"
 	"reflect"
-	"sort"
+	"slices"
 	"strings"
 	"testing"
 
@@ -60,8 +61,8 @@ func TestSynthesisBundlesGolden(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, g := range sortedKeys(set.Shaped) {
-				for _, shape := range sortedKeys(set.Shaped[g]) {
+			for _, g := range slices.Sorted(maps.Keys(set.Shaped)) {
+				for _, shape := range slices.Sorted(maps.Keys(set.Shaped[g])) {
 					v := *set
 					v.Profiles = append([]*profile.FunctionProfile(nil), set.Profiles...)
 					v.Profiles[g] = set.Shaped[g][shape]
@@ -106,13 +107,4 @@ func writeRawTable(t *testing.T, b *strings.Builder, label string, sy *synth.Syn
 			h.BudgetMs, h.HeadMillicores, h.HeadPercentile, h.PlanMillicores, h.ExpectedCost)
 	}
 	return raw
-}
-
-func sortedKeys[K int | string, V any](m map[K]V) []K {
-	keys := make([]K, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	return keys
 }

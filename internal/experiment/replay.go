@@ -14,6 +14,7 @@ import (
 	"janus/internal/hints"
 	"janus/internal/obs"
 	"janus/internal/platform"
+	"janus/internal/profile"
 	"janus/internal/replay"
 	"janus/internal/synth"
 	"janus/internal/workflow"
@@ -333,22 +334,35 @@ func (s *Suite) replayRegenFor(mt MixTenant, a *adapter.Adapter, tr obs.Tracer) 
 		Tenant:       mt.Tenant,
 		Tracer:       tr,
 		Synthesize: func(floorMs int) (*hints.Bundle, error) {
-			sy, err := synth.New(synth.Config{
-				Profiles:      set,
-				Weight:        replayRegenWeight,
-				Mode:          synth.ModeJanus,
-				BudgetStepMs:  s.cfg.BudgetStepMs,
-				BudgetFloorMs: floorMs,
-			})
-			if err != nil {
-				return nil, err
-			}
-			res, err := sy.GenerateBundle()
-			if err != nil {
-				return nil, err
-			}
-			return res.Bundle, nil
+			return s.regenBundle(set, floorMs)
 		},
+	})
+}
+
+// regenBundle synthesizes set's Janus bundle with every cone's
+// exploration range extended down to floorMs. Weight, mode and step are
+// fixed per suite, so the bundle depends only on (workflow, batch,
+// floor): every run and tenant regenerating at the same floor shares one
+// memoized bundle, which is safe because bundles are read-only once
+// installed.
+func (s *Suite) regenBundle(set *profile.Set, floorMs int) (*hints.Bundle, error) {
+	key := fmt.Sprintf("regen/%s/b%d/floor%d", set.Workflow.Name(), set.Batch, floorMs)
+	return cached(s, key, func() (*hints.Bundle, error) {
+		sy, err := synth.New(synth.Config{
+			Profiles:      set,
+			Weight:        replayRegenWeight,
+			Mode:          synth.ModeJanus,
+			BudgetStepMs:  s.cfg.BudgetStepMs,
+			BudgetFloorMs: floorMs,
+		})
+		if err != nil {
+			return nil, err
+		}
+		res, err := sy.GenerateBundle()
+		if err != nil {
+			return nil, err
+		}
+		return res.Bundle, nil
 	})
 }
 

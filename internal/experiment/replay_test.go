@@ -2,10 +2,14 @@ package experiment
 
 import (
 	"fmt"
+	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"janus/internal/hints"
+	"janus/internal/synth"
+	"janus/internal/workflow"
 )
 
 func TestReplayScheduleShapeAndScaling(t *testing.T) {
@@ -305,5 +309,58 @@ func TestReplayWorkloadsSharedAcrossConfigs(t *testing.T) {
 				t.Fatalf("tenant %s request %d arrives at %v vs %v", tenant, i, a[i].Arrival, b[i].Arrival)
 			}
 		}
+	}
+}
+
+// TestRegenBundleMemoized pins the regen memo: concurrent callers at one
+// (workflow, floor) share one bundle, that bundle equals a fresh
+// synthesis at the floor, and another floor gets its own.
+func TestRegenBundleMemoized(t *testing.T) {
+	s := quickSuite(t)
+	set, err := s.Profiles(workflow.IntelligentAssistant(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tmin, _ := set.BudgetRangeMs(0)
+	floor := tmin / 2
+	var (
+		wg   sync.WaitGroup
+		got  [4]*hints.Bundle
+		errs [4]error
+	)
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i], errs[i] = s.regenBundle(set, floor)
+		}()
+	}
+	wg.Wait()
+	for i := range got {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
+		}
+		if got[i] != got[0] {
+			t.Fatalf("caller %d got its own bundle at floor %dms", i, floor)
+		}
+	}
+	sy, err := synth.New(synth.Config{Profiles: set, Weight: replayRegenWeight, Mode: synth.ModeJanus,
+		BudgetStepMs: s.cfg.BudgetStepMs, BudgetFloorMs: floor})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := sy.GenerateBundle()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(fresh.Bundle, got[0]) {
+		t.Fatal("memoized regen bundle differs from a fresh synthesis at the same floor")
+	}
+	other, err := s.regenBundle(set, floor+1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if other == got[0] {
+		t.Fatal("floors one millisecond apart share a bundle")
 	}
 }

@@ -132,8 +132,10 @@ type FunctionProfile struct {
 	// samples[ki] keeps the raw latency sample per allocation level for
 	// distribution-aware consumers (the ORION baseline). Not serialized.
 	samples []*stats.Sample
-	// pIndex maps percentile -> row.
-	pIndex map[int]int
+	// pRow[p] is percentile p's row index plus one; 0 marks a
+	// percentile that was not profiled. validatePercentiles bounds p to
+	// [1, 99], so the table covers every on-grid percentile.
+	pRow [100]int8
 }
 
 func (fp *FunctionProfile) init() error {
@@ -151,9 +153,9 @@ func (fp *FunctionProfile) init() error {
 			return fmt.Errorf("profile: %s: row %d has %d levels, want %d", fp.Function, i, len(row), fp.Grid.Len())
 		}
 	}
-	fp.pIndex = make(map[int]int, len(fp.Percentiles))
+	fp.pRow = [100]int8{}
 	for i, p := range fp.Percentiles {
-		fp.pIndex[p] = i
+		fp.pRow[p] = int8(i + 1)
 	}
 	return nil
 }
@@ -184,21 +186,25 @@ func NewFunctionProfile(function string, batch int, grid Grid, percentiles []int
 
 // HasPercentile reports whether p is on the profile's percentile grid.
 func (fp *FunctionProfile) HasPercentile(p int) bool {
-	_, ok := fp.pIndex[p]
-	return ok
+	return p >= 0 && p < len(fp.pRow) && fp.pRow[p] != 0
+}
+
+// row returns L(p, ·) across the grid levels; p must be on-grid.
+func (fp *FunctionProfile) row(p int) []int {
+	if !fp.HasPercentile(p) {
+		panic(fmt.Sprintf("profile: %s: percentile %d not profiled", fp.Function, p))
+	}
+	return fp.LatencyMs[fp.pRow[p]-1]
 }
 
 // LMs returns L(p, k) in milliseconds. Both p and k must be on-grid.
 func (fp *FunctionProfile) LMs(p, k int) int {
-	pi, ok := fp.pIndex[p]
-	if !ok {
-		panic(fmt.Sprintf("profile: %s: percentile %d not profiled", fp.Function, p))
-	}
+	row := fp.row(p)
 	ki, ok := fp.Grid.Index(k)
 	if !ok {
 		panic(fmt.Sprintf("profile: %s: allocation %d not on grid", fp.Function, k))
 	}
-	return fp.LatencyMs[pi][ki]
+	return row[ki]
 }
 
 // L returns L(p, k) as a duration.
@@ -221,9 +227,9 @@ func (fp *FunctionProfile) ResilienceMs(p, k int) int {
 // fits the budget, or false if even Kmax misses it.
 func (fp *FunctionProfile) MinCoresWithin(p int, budget time.Duration) (int, bool) {
 	budgetMs := int(budget / time.Millisecond)
-	for _, k := range fp.Grid.Levels() {
-		if fp.LMs(p, k) <= budgetMs {
-			return k, true
+	for ki, l := range fp.row(p) {
+		if l <= budgetMs {
+			return fp.Grid.Min + ki*fp.Grid.Step, true
 		}
 	}
 	return 0, false

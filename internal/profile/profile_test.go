@@ -2,6 +2,7 @@ package profile
 
 import (
 	"encoding/json"
+	"fmt"
 	"testing"
 	"time"
 
@@ -223,6 +224,48 @@ func TestMinCoresWithin(t *testing.T) {
 	k, ok := fp.MinCoresWithin(99, budget)
 	if !ok || k > 2000 {
 		t.Fatalf("budget L(99,2000) -> (%d, %v), want k <= 2000", k, ok)
+	}
+}
+
+// TestOffGridPercentile pins the percentile lookup's edges: only
+// profiled percentiles are on the grid, and every accessor panics with
+// the same message for any other value, including values outside [1, 99].
+func TestOffGridPercentile(t *testing.T) {
+	fp, err := NewFunctionProfile("f", 1, Grid{Min: 1000, Max: 1200, Step: 100},
+		[]int{50, 99}, [][]int{{30, 20, 10}, {60, 40, 20}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []int{50, 99} {
+		if !fp.HasPercentile(p) {
+			t.Errorf("HasPercentile(%d) = false for a profiled percentile", p)
+		}
+	}
+	if got := fp.LMs(50, 1100); got != 20 {
+		t.Errorf("LMs(50, 1100) = %d, want 20", got)
+	}
+	if k, ok := fp.MinCoresWithin(50, 25*time.Millisecond); !ok || k != 1100 {
+		t.Errorf("MinCoresWithin(50, 25ms) = (%d, %v), want (1100, true)", k, ok)
+	}
+	for _, p := range []int{-1, 0, 1, 49, 100, 1000} {
+		if fp.HasPercentile(p) {
+			t.Errorf("HasPercentile(%d) = true", p)
+		}
+		for name, call := range map[string]func(){
+			"LMs":            func() { fp.LMs(p, 1000) },
+			"TimeoutMs":      func() { fp.TimeoutMs(p, 1000) },
+			"ResilienceMs":   func() { fp.ResilienceMs(p, 1000) },
+			"MinCoresWithin": func() { fp.MinCoresWithin(p, time.Second) },
+		} {
+			func() {
+				defer func() {
+					if r := recover(); r != fmt.Sprintf("profile: f: percentile %d not profiled", p) {
+						t.Errorf("%s(%d) panicked with %v", name, p, r)
+					}
+				}()
+				call()
+			}()
+		}
 	}
 }
 

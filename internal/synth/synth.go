@@ -126,6 +126,10 @@ type coneProgram struct {
 	// from the layered profile sequence.
 	tmin, tmax int
 	maxMs      int
+	// downKmaxMs is the P99 execution time of layers 1.. with every
+	// layer at Kmax — the floor the head percentile filter compares
+	// against.
+	downKmaxMs int
 	// dp[j][t]: minimal total millicores provisioning layers j.. within
 	// budget t ms, all at P99; -1 when infeasible.
 	dp [][]int32
@@ -192,23 +196,27 @@ func New(cfg Config) (*Synthesizer, error) {
 		// The cone's Eq. 3 bounds, from the layered sequence itself (the
 		// same sums Set.BudgetRangeMs computes, without re-deriving the
 		// cone): Tmin = sum L(pMin, Kmax), Tmax = sum L(99, Kmin).
-		tmin, tmax := 0, 0
-		for _, fp := range seq {
+		tmin, tmax, downKmaxMs := 0, 0, 0
+		for j, fp := range seq {
 			tmin += fp.LMs(fp.Percentiles[0], grid.Max)
 			tmax += fp.LMs(99, grid.Min)
+			if j > 0 {
+				downKmaxMs += fp.LMs(99, grid.Max)
+			}
 		}
 		maxMs := tmax
 		if g == 0 && cfg.BudgetOverrideMs[1] > maxMs {
 			maxMs = cfg.BudgetOverrideMs[1]
 		}
 		p := &coneProgram{
-			cfg:      cfg,
-			profiles: seq,
-			levels:   grid.Levels(),
-			kmax:     grid.Max,
-			tmin:     tmin,
-			tmax:     tmax,
-			maxMs:    maxMs,
+			cfg:        cfg,
+			profiles:   seq,
+			levels:     grid.Levels(),
+			kmax:       grid.Max,
+			tmin:       tmin,
+			tmax:       tmax,
+			maxMs:      maxMs,
+			downKmaxMs: downKmaxMs,
 		}
 		p.buildDP()
 		s.programs = append(s.programs, p)
@@ -255,16 +263,17 @@ func variantProgram(base *coneProgram, head *profile.FunctionProfile) *coneProgr
 		tmax = base.maxMs
 	}
 	return &coneProgram{
-		cfg:       base.cfg,
-		profiles:  seq,
-		levels:    base.levels,
-		kmax:      base.kmax,
-		tmin:      tmin,
-		tmax:      tmax,
-		maxMs:     base.maxMs,
-		dp:        base.dp,
-		choiceIdx: base.choiceIdx,
-		resil:     base.resil,
+		cfg:        base.cfg,
+		profiles:   seq,
+		levels:     base.levels,
+		kmax:       base.kmax,
+		tmin:       tmin,
+		tmax:       tmax,
+		maxMs:      base.maxMs,
+		downKmaxMs: base.downKmaxMs,
+		dp:         base.dp,
+		choiceIdx:  base.choiceIdx,
+		resil:      base.resil,
 	}
 }
 
@@ -283,10 +292,7 @@ func (p *coneProgram) buildDP() {
 		p.dp[j] = make([]int32, width)
 		p.choiceIdx[j] = make([]int16, width)
 		p.resil[j] = make([]int32, width)
-		l99 := make([]int, len(p.levels))
-		for ki, k := range p.levels {
-			l99[ki] = fp.LMs(99, k)
-		}
+		l99 := p99Row(fp)
 		l99AtMax := l99[len(l99)-1]
 		for t := 0; t < width; t++ {
 			best := int32(-1)
@@ -325,11 +331,17 @@ func (p *coneProgram) planP99(j, tMs int, dst []int) []int {
 		if ki < 0 {
 			panic(fmt.Sprintf("synth: planP99 called on infeasible state (%d, %d)", layer, tMs))
 		}
-		k := p.levels[ki]
-		dst = append(dst, k)
-		tMs -= p.profiles[layer].LMs(99, k)
+		dst = append(dst, p.levels[ki])
+		tMs -= p99Row(p.profiles[layer])[ki]
 	}
 	return dst
+}
+
+// p99Row returns fp's P99 latencies across the grid levels. The profile
+// package keeps percentiles strictly increasing and requires 99, so P99
+// is always the last row.
+func p99Row(fp *profile.FunctionProfile) []int {
+	return fp.LatencyMs[len(fp.LatencyMs)-1]
 }
 
 // candidate is one feasible head decision during generation.
@@ -464,26 +476,41 @@ func (p *coneProgram) generateOne(tMs int, planBuf []int) *hints.Hint {
 			ExpectedCost:   p.cfg.Weight * float64(k),
 		}
 	}
+	// explore_percentile: the head percentiles whose Kmax execution keeps
+	// the cone within the budget. Janus- considers P99 only, the last row.
+	kmaxIdx := len(p.levels) - 1
+	rows := head.LatencyMs
+	p99 := p99Row(head)
+	pcts := head.Percentiles
+	if p.cfg.Mode == ModeJanusMinus {
+		rows, pcts = rows[len(rows)-1:], pcts[len(pcts)-1:]
+	}
+	dp1, resil1 := p.dp[1], p.resil[1]
 	best := candidate{cost: -1}
-	for _, pct := range p.headPercentiles(tMs) {
-		for _, k := range p.levels {
-			downBudget := tMs - head.LMs(pct, k)
+	for pi, pct := range pcts {
+		row := rows[pi]
+		if row[kmaxIdx]+p.downKmaxMs > tMs {
+			continue
+		}
+		for ki, k := range p.levels {
+			downBudget := tMs - row[ki]
 			if downBudget < 0 {
 				continue
 			}
+			timeout := int32(p99[ki] - row[ki])
 			if p.cfg.Mode == ModeJanusPlus && nRem >= 3 {
-				if c, ok := p.exploreSecond(pct, k, downBudget); ok {
+				if c, ok := p.exploreSecond(pct, k, timeout, downBudget); ok {
 					if best.cost < 0 || c.better(best) {
 						best = c
 					}
 				}
 				continue
 			}
-			down := p.dp[1][downBudget]
+			down := dp1[downBudget]
 			if down < 0 {
 				continue
 			}
-			if int32(head.TimeoutMs(pct, k)) > p.resil[1][downBudget] {
+			if timeout > resil1[downBudget] {
 				continue // Eq. 6: downstream cannot absorb the overrun
 			}
 			pf := float64(pct) / 100
@@ -513,64 +540,37 @@ func (p *coneProgram) generateOne(tMs int, planBuf []int) *hints.Hint {
 	}
 }
 
-// headPercentiles implements explore_percentile: the candidate percentiles
-// whose Kmax execution keeps the cone within the budget.
-func (p *coneProgram) headPercentiles(tMs int) []int {
-	head := p.profiles[0]
-	if p.cfg.Mode == ModeJanusMinus {
-		if head.LMs(99, p.kmax)+p.downKmaxMs(1) <= tMs {
-			return []int{99}
-		}
-		return nil
-	}
-	downMs := p.downKmaxMs(1)
-	var out []int
-	for _, pct := range head.Percentiles {
-		if head.LMs(pct, p.kmax)+downMs <= tMs {
-			out = append(out, pct)
-		}
-	}
-	return out
-}
-
-// downKmaxMs is the P99 execution time of layers from.. with every layer
-// at Kmax — the floor the percentile filter compares against.
-func (p *coneProgram) downKmaxMs(from int) int {
-	total := 0
-	for j := from; j < len(p.profiles); j++ {
-		total += p.profiles[j].LMs(99, p.kmax)
-	}
-	return total
-}
-
 // exploreSecond is the Janus+ extension: the next-to-head layer also
-// explores percentiles. The head's timeout must fit in the second layer's
-// own resilience plus the rest's; the second's timeout must fit in the
-// rest's.
-func (p *coneProgram) exploreSecond(p1, k1, budget1 int) (candidate, bool) {
+// explores percentiles. The head's timeout (headTimeout, D1(p1, k1)) must
+// fit in the second layer's own resilience plus the rest's; the second's
+// timeout must fit in the rest's.
+func (p *coneProgram) exploreSecond(p1, k1 int, headTimeout int32, budget1 int) (candidate, bool) {
 	second := p.profiles[1]
-	head := p.profiles[0]
 	nRem := len(p.profiles)
+	dp2, resil2 := p.dp[2], p.resil[2]
+	kmaxIdx := len(p.levels) - 1
+	p99 := p99Row(second)
+	pf1 := float64(p1) / 100
 	best := candidate{cost: -1}
-	for _, p2 := range second.Percentiles {
-		for _, k2 := range p.levels {
-			restBudget := budget1 - second.LMs(p2, k2)
+	for pi, p2 := range second.Percentiles {
+		row := second.LatencyMs[pi]
+		for ki, k2 := range p.levels {
+			restBudget := budget1 - row[ki]
 			if restBudget < 0 {
 				continue
 			}
-			rest := p.dp[2][restBudget]
+			rest := dp2[restBudget]
 			if rest < 0 {
 				continue
 			}
-			restRes := p.resil[2][restBudget]
-			if int32(second.TimeoutMs(p2, k2)) > restRes {
+			restRes := resil2[restBudget]
+			if int32(p99[ki]-row[ki]) > restRes {
 				continue
 			}
-			secondRes := int32(second.LMs(p2, k2) - second.LMs(p2, p.kmax))
-			if int32(head.TimeoutMs(p1, k1)) > secondRes+restRes {
+			secondRes := int32(row[ki] - row[kmaxIdx])
+			if headTimeout > secondRes+restRes {
 				continue
 			}
-			pf1 := float64(p1) / 100
 			pf2 := float64(p2) / 100
 			inner := float64(k2) + pf2*float64(rest) + (1-pf2)*float64(nRem-2)*float64(p.kmax)
 			cost := p.cfg.Weight*float64(k1) + pf1*inner + (1-pf1)*float64(nRem-1)*float64(p.kmax)

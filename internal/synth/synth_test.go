@@ -19,7 +19,7 @@ var (
 
 // iaProfiles profiles the IA chain once for all tests (600 samples/config
 // keeps it fast while staying statistically stable).
-func iaProfiles(t *testing.T) *profile.Set {
+func iaProfiles(t testing.TB) *profile.Set {
 	t.Helper()
 	iaSetOnce.Do(func() {
 		coloc, err := interfere.NewCountSampler([]float64{0.5, 0.35, 0.15})
@@ -453,5 +453,32 @@ func TestBudgetFloorInsideLastStepStillCovered(t *testing.T) {
 	}
 	if ext.Hints[0].BudgetMs > floor {
 		t.Fatalf("lowest swept budget %d above the observed floor %d", ext.Hints[0].BudgetMs, floor)
+	}
+}
+
+// BenchmarkGenerateBundle times deploy-time synthesis of the IA bundle at
+// the quick suite's scale (600 profiler samples, 20 ms budget step): the
+// per-cone DP build plus the budget sweep of every table. Janus+ is the
+// expensive mode (Fig 6b): its next-to-head exploration runs a
+// (p2, k2) scan inside every (p1, k1) candidate. One worker keeps ns/op
+// and allocs/op independent of the host's core count.
+func BenchmarkGenerateBundle(b *testing.B) {
+	set := iaProfiles(b)
+	for _, bc := range []struct {
+		name string
+		mode Mode
+	}{{"Janus", ModeJanus}, {"JanusPlus", ModeJanusPlus}} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				s, err := New(Config{Profiles: set, Mode: bc.mode, BudgetStepMs: 20, Parallelism: 1})
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, err := s.GenerateBundle(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
